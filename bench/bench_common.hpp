@@ -89,8 +89,7 @@ addCommonOptions(Options &opts)
     opts.add("data-plane", "off",
              "erasure-code data plane: off (value-level parity math "
              "only) | verify (real SIMD byte XOR cross-checked at every "
-             "combine; no timing change) | on (verify + XOR cost from "
-             "measured kernel throughput)");
+             "combine; no timing change)");
 }
 
 /**
@@ -108,7 +107,7 @@ applyEventQueueOption(const Options &opts)
     ec::DataPlaneMode mode{};
     if (!ec::dataPlaneModeFromName(plane, &mode)) {
         std::cerr << "unknown --data-plane '" << plane
-                  << "' (expected: off | verify | on)\n";
+                  << "' (expected: off | verify)\n";
         return false;
     }
     ec::selectDataPlane(mode);

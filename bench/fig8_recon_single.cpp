@@ -3,7 +3,10 @@
  * Figures 8-1 and 8-2: single-threaded reconstruction time and average
  * user response time during reconstruction, for all four reconstruction
  * algorithms, under 50/50 read/write workloads at 105 and 210 user
- * accesses per second, across the alpha sweep.
+ * accesses per second, across the alpha sweep. `--processes 8` gives
+ * Figures 8-3 and 8-4, the same sweep with eight-way parallel
+ * reconstruction (the printed title line keeps its 8-1/8-2 wording,
+ * which the smoke goldens pin).
  *
  * --stripes / --algorithms narrow the sweep (e.g. to one point for a
  * paper-scale speedup measurement); --shards splits every point across

@@ -64,7 +64,7 @@ run(int argc, char **argv)
     opts.add("cpu-ms", "0", "serial controller CPU cost per access");
     opts.add("xor-ms", "0", "XOR cost per unit combined");
     opts.add("data-plane", "off",
-             "real parity bytes: off|verify|on (ec/data_plane.hpp)");
+             "real parity bytes: off|verify (ec/data_plane.hpp)");
     opts.add("replacement-delay", "0", "seconds until replacement");
     opts.add("warmup", "5", "warmup seconds per phase");
     opts.add("measure", "30", "measured seconds per phase");
@@ -103,7 +103,7 @@ run(int argc, char **argv)
     if (!ec::dataPlaneModeFromName(opts.getString("data-plane"),
                                    &cfg.dataPlane))
         DECLUST_FATAL("unknown --data-plane '",
-                      opts.getString("data-plane"), "' (off|verify|on)");
+                      opts.getString("data-plane"), "' (off|verify)");
     cfg.replacementDelaySec = opts.getDouble("replacement-delay");
     cfg.seed = static_cast<std::uint64_t>(opts.getInt("seed"));
 

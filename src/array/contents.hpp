@@ -11,7 +11,7 @@
  * read returns the right data and that a completed reconstruction
  * restored exactly the lost contents.
  *
- * With `--data-plane verify|on` (ec/data_plane.hpp) each UnitValue
+ * With `--data-plane verify` (ec/data_plane.hpp) each UnitValue
  * additionally stands for a full stripe unit of bytes via a GF(2)-linear
  * expansion, and every parity combine over these values is re-executed
  * over real buffers through the SIMD kernels and byte-compared — the

@@ -8,9 +8,7 @@
 #include "disk/disk.hpp"
 #include "disk/fault_model.hpp"
 #include "disk/scheduler.hpp"
-#include "ec/cost_model.hpp"
 #include "ec/data_plane.hpp"
-#include "ec/kernels.hpp"
 #include "layout/layout.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/serial_resource.hpp"
@@ -1624,8 +1622,7 @@ ArrayController::ArrayController(EventQueue &eq,
       params_(params),
       contents_(layout_->numDisks(), layout_->unitsPerDisk()),
       shadow_(layout_->numDataUnits()),
-      values_(params.valueSeed),
-      stats_(params.histogramLimitMs, params.histogramBuckets)
+      values_(params.valueSeed)
 {
     DECLUST_ASSERT(layout_, "controller needs a layout");
     params_.geometry.validate();
@@ -1641,32 +1638,18 @@ ArrayController::ArrayController(EventQueue &eq,
                    "layout maps ", layout_->unitsPerDisk(),
                    " units/disk but the geometry only holds ",
                    unitCapacity);
-    // The XOR charge basis is fixed here, per unit, so afterXor charges
-    // are additive across batches (see xorChargeTicks). Mode On derives
-    // the per-unit cost from the measured throughput of the dispatched
-    // kernel tier, *replacing* the hand-picked constant.
-    double xorMsPerUnit = params_.xorOverheadMsPerUnit;
     if (params_.dataPlane != ec::DataPlaneMode::Off) {
-        const std::size_t unitBytes =
-            static_cast<std::size_t>(params_.unitSectors) *
-            static_cast<std::size_t>(params_.geometry.sectorBytes);
         DECLUST_ASSERT(layout_->stripeWidth() <= kMaxCheckedStripeWidth,
                        "data-plane combine checks support stripes up to ",
                        kMaxCheckedStripeWidth, " units wide");
-        plane_ = std::make_unique<ec::DataPlane>(params_.dataPlane,
-                                                 unitBytes);
-        if (params_.dataPlane == ec::DataPlaneMode::On) {
-            const ec::Tier tier = plane_->tier();
-            if (!ec::xorCostCalibrated(tier))
-                DECLUST_FATAL(
-                    "--data-plane on needs a calibrated XOR throughput "
-                    "for kernel tier ", ec::tierName(tier),
-                    "; run bench_ec_kernels --json and "
-                    "tools/calibrate_xor.py (see src/ec/cost_model.hpp)");
-            xorMsPerUnit = ec::xorMsPerUnit(unitBytes, tier);
-        }
+        plane_ = std::make_unique<ec::DataPlane>(
+            params_.dataPlane,
+            static_cast<std::size_t>(params_.unitSectors) *
+                static_cast<std::size_t>(params_.geometry.sectorBytes));
     }
-    xorTicksPerUnit_ = msToTicks(xorMsPerUnit);
+    // The XOR charge basis is fixed here, per unit, so afterXor charges
+    // are additive across batches (see xorChargeTicks).
+    xorTicksPerUnit_ = msToTicks(params_.xorOverheadMsPerUnit);
     if (params_.controllerOverheadMs > 0 || xorTicksPerUnit_ > 0) {
         cpu_ = std::make_unique<SerialResource>(eq_);
     }
@@ -2407,7 +2390,7 @@ ArrayController::setAccessTracer(AccessTracer tracer)
 void
 ArrayController::resetStats()
 {
-    stats_ = UserStats(params_.histogramLimitMs, params_.histogramBuckets);
+    stats_ = UserStats();
     for (auto &d : disks_)
         d->resetStats();
     if (cpu_)

@@ -92,10 +92,8 @@ struct ArrayParams
      * math only, byte-identical to the pre-data-plane goldens. Verify:
      * every parity combine additionally XORs real stripe-unit buffers
      * through the dispatched SIMD kernels and cross-checks the result
-     * against the 64-bit shadow value — no effect on simulated time.
-     * On: Verify, plus the XOR cost charged to the controller CPU is
-     * derived from measured kernel throughput (ec/cost_model.hpp),
-     * *replacing* xorOverheadMsPerUnit.
+     * against the 64-bit shadow value — no effect on simulated time
+     * (XOR cost is charged only through xorOverheadMsPerUnit).
      */
     ec::DataPlaneMode dataPlane = ec::DataPlaneMode::Off;
     /**
@@ -109,9 +107,6 @@ struct ArrayParams
      * other disks, spread by the block design.
      */
     double hedgeAfterMs = 0.0;
-    /** Response-time histogram range (ms) and bucket count. */
-    double histogramLimitMs = 4000.0;
-    std::size_t histogramBuckets = 4000;
 };
 
 /**
@@ -160,6 +155,10 @@ struct FaultStats
 /** User-visible response-time statistics. */
 struct UserStats
 {
+    /** Response-time histogram range (ms) and bucket count. */
+    static constexpr double kHistogramLimitMs = 4000.0;
+    static constexpr std::size_t kHistogramBuckets = 4000;
+
     Accumulator readMs;
     Accumulator writeMs;
     Accumulator allMs;
@@ -167,8 +166,7 @@ struct UserStats
     std::uint64_t readsDone = 0;
     std::uint64_t writesDone = 0;
 
-    UserStats(double limitMs, std::size_t buckets)
-        : allHist(limitMs, buckets) {}
+    UserStats() : allHist(kHistogramLimitMs, kHistogramBuckets) {}
 };
 
 /** The striping driver plus its disks. */

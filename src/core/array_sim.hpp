@@ -75,8 +75,7 @@ struct SimConfig
     /**
      * Data-plane mode (ec/data_plane.hpp): off = value-level parity
      * math only (byte-identical to earlier builds), verify = real SIMD
-     * byte math cross-checked at every combine with no timing change,
-     * on = verify + XOR cost charged from measured kernel throughput.
+     * byte math cross-checked at every combine with no timing change.
      * Defaults to the process-wide selection (--data-plane via
      * bench_common, ec::selectDataPlane()), so drivers need no
      * per-config plumbing.

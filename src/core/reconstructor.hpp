@@ -11,10 +11,9 @@
  * optional per-cycle throttle delay (the paper's future-work item).
  *
  * The per-cycle G-1-way parity combine runs in the controller
- * (reconstructOffset); with `--data-plane verify|on` every one of those
+ * (reconstructOffset); with `--data-plane verify` every one of those
  * combines is additionally executed over real stripe-unit bytes through
- * the SIMD kernels and byte-checked against the shadow value, and mode
- * `on` charges the cycle's XOR time from measured kernel throughput.
+ * the SIMD kernels and byte-checked against the shadow value.
  */
 #pragma once
 

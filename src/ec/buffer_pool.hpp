@@ -2,7 +2,7 @@
  * @file
  * Slab-pooled, 64-byte-aligned stripe-unit buffers for the data plane.
  *
- * The verify/on data-plane modes XOR real bytes at every parity combine
+ * The verify data-plane mode XORs real bytes at every parity combine
  * site, which runs inside the zero-allocation I/O spine — so buffers
  * come from a free list carved out of slabs, exactly like SlabPool, but
  * with cache-line alignment so the SIMD kernels run their aligned fast

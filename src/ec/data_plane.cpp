@@ -28,8 +28,6 @@ dataPlaneModeName(DataPlaneMode mode)
         return "off";
     case DataPlaneMode::Verify:
         return "verify";
-    case DataPlaneMode::On:
-        return "on";
     }
     return "?";
 }
@@ -37,8 +35,7 @@ dataPlaneModeName(DataPlaneMode mode)
 bool
 dataPlaneModeFromName(const std::string &name, DataPlaneMode *out)
 {
-    for (DataPlaneMode mode : {DataPlaneMode::Off, DataPlaneMode::Verify,
-                               DataPlaneMode::On}) {
+    for (DataPlaneMode mode : {DataPlaneMode::Off, DataPlaneMode::Verify}) {
         if (name == dataPlaneModeName(mode)) {
             *out = mode;
             return true;

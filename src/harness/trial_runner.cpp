@@ -83,7 +83,6 @@ TrialRunner::runSharded(int numTrials, int shards,
     }
 
     std::atomic<int> next{0};
-    std::atomic<int> done{0};
     // Per-trial countdown: the worker that retires a trial's last shard
     // runs its merge. acq_rel on the decrement makes every shard's
     // writes visible to the merging worker.
@@ -91,7 +90,8 @@ TrialRunner::runSharded(int numTrials, int shards,
         static_cast<std::size_t>(numTrials));
     for (auto &r : remaining)
         r.store(shards, std::memory_order_relaxed);
-    std::mutex mu; // serializes onItemDone and first-error capture
+    std::mutex mu; // guards done, onItemDone and first-error capture
+    int done = 0;  // counted under mu so callbacks see 1, 2, ... in order
     std::exception_ptr firstError;
 
     auto worker = [&] {
@@ -118,11 +118,9 @@ TrialRunner::runSharded(int numTrials, int shards,
                 next.store(total, std::memory_order_relaxed);
                 return;
             }
-            const int finished =
-                done.fetch_add(1, std::memory_order_relaxed) + 1;
             if (onItemDone) {
                 std::lock_guard<std::mutex> lock(mu);
-                onItemDone(finished, total);
+                onItemDone(++done, total);
             }
         }
     };

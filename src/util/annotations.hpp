@@ -2,11 +2,11 @@
  * @file
  * Source annotations consumed by the AST analyzer (tools/analyze/).
  *
- * The repo enforces its invariants in three layers (see DESIGN.md
- * "Static analysis"): a regex lint (tools/lint.py) for purely textual
- * rules, the AST analyzer for semantic rules, and runtime
- * DECLUST_VALIDATE audits for what only execution can see. The two
- * macros here are the analyzer's source-level interface:
+ * The repo enforces its invariants in two layers (see DESIGN.md
+ * "Static analysis"): the analyzer for every source-level rule, textual
+ * or semantic, and runtime DECLUST_VALIDATE audits for what only
+ * execution can see. The two macros here are the analyzer's
+ * source-level interface:
  *
  *   DECLUST_HOT_PATH
  *     Marks a function as a hot-path ROOT. The analyzer computes the
@@ -20,9 +20,8 @@
  *     nothing and only the analyzer's own parser reads it.
  *
  *   DECLUST_ANALYZE_SUPPRESS("rule-a,rule-b: reason")
- *     Statement-position suppression, replacing the old
- *     `// LINT: allow(...)` comments for analyzer rules. Suppresses
- *     the listed rules on the macro call's own lines and on every
+ *     Statement-position suppression, the repo's only suppression
+ *     syntax. Suppresses the listed rules on the macro call's own lines and on every
  *     line of the statement that follows it, so it reads like the
  *     construct it excuses:
  *

@@ -4,8 +4,9 @@
 Covers the contract the fixtures encode: every fixture fires exactly
 the checks it declares (and nothing else), suppression annotations
 swallow findings without hiding that the check ran, a clean file
-produces zero findings, and the suppression/annotation plumbing in the
-builtin parser behaves line-accurately.
+produces zero findings, the suppression/annotation plumbing in the
+builtin parser behaves line-accurately, and the token rules keep their
+file scopes.
 """
 
 import os
@@ -106,6 +107,60 @@ class SuppressionPlumbing(unittest.TestCase):
         kept, suppressed = analyze.apply_suppressions([finding], [fir])
         self.assertEqual(kept, [finding])
         self.assertEqual(suppressed, [])
+
+
+def _rules_at(rel, text):
+    """{(line, rule)} the checks report for one parsed file."""
+    fir = builtin_parser.parse_file(rel, text)
+    return {(f.line, f.rule) for f in checks.run_checks([fir])}
+
+
+class TokenRuleScopes(unittest.TestCase):
+    """The token-level rules keep their file scopes: determinism is
+    waived only in src/harness/, the pending-set ban only in src/sim/,
+    and the header rules apply to headers only."""
+
+    SOURCES = (
+        '#include <queue>\n'
+        '#include <unordered_map>\n'
+        'std::unordered_map<int, int> index;\n'         # 3
+        'std::priority_queue<int> pending;\n'           # 4
+        'long now() { return time(nullptr); }\n'        # 5
+    )
+
+    def test_simulation_code_fires_every_token_rule(self):
+        self.assertEqual(_rules_at("src/core/x.cpp", self.SOURCES), {
+            (3, "determinism-taint"),
+            (4, "event-core-priority-queue"),
+            (5, "determinism-taint"),
+        })
+
+    def test_harness_may_read_clocks_but_not_keep_a_pending_set(self):
+        self.assertEqual(_rules_at("src/harness/x.cpp", self.SOURCES),
+                         {(4, "event-core-priority-queue")})
+
+    def test_event_core_may_keep_its_heap(self):
+        self.assertEqual(_rules_at("src/sim/x.cpp", self.SOURCES),
+                         {(3, "determinism-taint"),
+                          (5, "determinism-taint")})
+
+    def test_header_rules_skip_sources_but_include_rule_does_not(self):
+        text = ('#include "../sim/time.hpp"\n'
+                'using namespace std;\n')
+        self.assertEqual(_rules_at("src/util/x.cpp", text),
+                         {(1, "include-relative")})
+        self.assertEqual(_rules_at("src/util/x.hpp", text),
+                         {(1, "include-relative"),
+                          (1, "header-pragma-once"),
+                          (2, "header-using-namespace")})
+        self.assertEqual(
+            _rules_at("src/util/y.hpp", '#pragma once\nint v;\n'), set())
+
+    def test_member_calls_named_like_sources_are_not_sources(self):
+        self.assertEqual(
+            _rules_at("src/core/x.cpp",
+                      'long f(Rng &r, Sim &s) '
+                      '{ return r.rand() + s.time(); }\n'), set())
 
 
 class ParserPlumbing(unittest.TestCase):

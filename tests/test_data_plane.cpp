@@ -5,7 +5,7 @@
  * empty-combine identity), verify-mode integration across degraded
  * reads, all four reconstruction algorithms, and the fault-injection
  * read-repair path, timing neutrality of verify mode, and the
- * controller's per-unit XOR charge basis (hand-picked and calibrated).
+ * controller's per-unit XOR charge basis.
  */
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 
 #include "core/array_sim.hpp"
 #include "designs/generators.hpp"
-#include "ec/cost_model.hpp"
 #include "ec/data_plane.hpp"
 #include "layout/declustered.hpp"
 
@@ -192,7 +191,7 @@ TEST(VerifyMode, IsTimingNeutral)
 }
 
 // ---------------------------------------------------------------------
-// XOR charge basis: per-unit, additive, calibrated replacement.
+// XOR charge basis: per-unit and additive.
 
 std::unique_ptr<ArrayController>
 buildController(EventQueue &eq, const ArrayParams &params)
@@ -237,31 +236,6 @@ TEST(XorCharge, ZeroConstantChargesNothing)
     auto array = buildController(eq, ArrayParams{});
     EXPECT_EQ(array->xorChargeTicks(1), 0u);
     EXPECT_EQ(array->xorChargeTicks(1000), 0u);
-}
-
-TEST(XorCharge, OnModeReplacesHandPickedConstantWithCalibration)
-{
-    // Mode on derives the per-unit charge from the measured throughput
-    // of the dispatched tier's XOR kernel — the hand-picked constant is
-    // replaced, not added to (no double-charging).
-    EventQueue eq;
-    ArrayParams params;
-    params.dataPlane = ec::DataPlaneMode::On;
-    params.xorOverheadMsPerUnit = 0.7; // would be 700 ticks if summed
-    auto array = buildController(eq, params);
-
-    const ec::Tier tier = ec::activeTier();
-    ASSERT_TRUE(ec::xorCostCalibrated(tier))
-        << "calibration header has no entry for " << ec::tierName(tier);
-    const std::size_t unitBytes = 8 * 512; // params.unitSectors default
-    const Tick want =
-        msToTicks(ec::xorMsPerUnit(unitBytes, tier));
-    EXPECT_EQ(array->xorChargeTicks(1), want);
-    EXPECT_LT(array->xorChargeTicks(1), msToTicks(0.7));
-    // Measured SIMD XOR of a 4 KB unit is tens of nanoseconds — far
-    // below the 1 us tick — so on calibrated hardware the charge is
-    // sub-tick: the 1992 XOR-engine bottleneck has left the building.
-    EXPECT_LE(ec::xorMsPerUnit(unitBytes, tier), 0.001);
 }
 
 TEST(XorCharge, VerifyModeKeepsHandPickedConstant)

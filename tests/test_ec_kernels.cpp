@@ -259,14 +259,14 @@ TEST(Dispatch, TierNamesRoundTrip)
 
 TEST(Dispatch, DataPlaneModeNamesRoundTrip)
 {
-    for (DataPlaneMode m : {DataPlaneMode::Off, DataPlaneMode::Verify,
-                            DataPlaneMode::On}) {
+    for (DataPlaneMode m : {DataPlaneMode::Off, DataPlaneMode::Verify}) {
         DataPlaneMode parsed{};
         EXPECT_TRUE(dataPlaneModeFromName(dataPlaneModeName(m), &parsed));
         EXPECT_EQ(parsed, m);
     }
     DataPlaneMode parsed{};
     EXPECT_FALSE(dataPlaneModeFromName("full", &parsed));
+    EXPECT_FALSE(dataPlaneModeFromName("on", &parsed)); // mode removed
     EXPECT_FALSE(dataPlaneModeFromName("", &parsed));
 }
 

@@ -238,6 +238,29 @@ TEST(TrialRunner, ShardedProgressCountsShardUnits)
     }
 }
 
+TEST(TrialRunner, ProgressIsMonotonicUnderContention)
+{
+    // Thousands of empty cells keep all four workers finishing at once,
+    // so a count taken outside the callback's lock would reach the
+    // callback out of order on any multi-core host.
+    static constexpr int kTrials = 5000;
+    static constexpr int kShards = 4;
+    TrialRunner runner(4);
+    for (int run = 0; run < 200; ++run) {
+        int last = 0;
+        int outOfOrder = 0;
+        runner.runSharded(
+            kTrials, kShards, [](int, int) {}, {},
+            [&last, &outOfOrder](int done, int) {
+                if (done != last + 1)
+                    ++outOfOrder;
+                last = done;
+            });
+        ASSERT_EQ(outOfOrder, 0) << "run " << run;
+        ASSERT_EQ(last, kTrials * kShards) << "run " << run;
+    }
+}
+
 TEST(TrialRunner, ShardedExceptionPropagates)
 {
     for (int jobs : {1, 4}) {

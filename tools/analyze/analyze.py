@@ -22,10 +22,12 @@ Suppression is annotation-based (src/util/annotations.hpp):
     DECLUST_ANALYZE_SUPPRESS("rule-a,rule-b: reason");
     ... the suppressed construct on the same or next code line ...
 
-Self-test mode mirrors tools/lint.py: fixture files declare expected
-findings with `// EXPECT-ANALYZE: rule-id` comments; the run fails
-unless the (file, rule) finding set matches exactly AND every rule in
-checks.ALL_RULES fires in at least one fixture.
+Self-test mode: fixture files declare expected findings with
+`// EXPECT-ANALYZE: rule-id` comments; the run fails unless the
+(file, rule) finding set matches exactly AND every rule in
+checks.ALL_RULES fires in at least one fixture. An expectation that
+trails code on its line additionally requires a finding of that rule
+on that very line, so each banned token a rule covers is pinned.
 
 Exit status: 0 clean, 1 findings (or self-test mismatch), 2 usage error.
 """
@@ -110,12 +112,21 @@ def self_test(root, backend, compile_commands):
     pairs, kept, _suppressed, used = run(root, subdir, backend,
                                          compile_commands)
     expected = set()
+    expected_lines = set()
     for full, rel in pairs:
         with open(full, encoding="utf-8") as f:
-            for m in EXPECT_RE.finditer(f.read()):
-                expected.add((rel, m.group(1)))
+            for line, text in enumerate(f, 1):
+                for m in EXPECT_RE.finditer(text):
+                    expected.add((rel, m.group(1)))
+                    if text[:m.start()].strip():
+                        expected_lines.add((rel, line, m.group(1)))
     found = {(f.rel, f.rule) for f in kept}
+    found_lines = {(f.rel, f.line, f.rule) for f in kept}
     ok = True
+    for rel, line, rule in sorted(expected_lines - found_lines):
+        print("self-test: expected %s at %s:%d but it did not fire"
+              % (rule, rel, line), file=sys.stderr)
+        ok = False
     for pair in sorted(expected - found):
         print("self-test: expected %s in %s but it did not fire"
               % (pair[1], pair[0]), file=sys.stderr)

@@ -18,10 +18,12 @@ Rule ids (one firing fixture each under tools/analyze/fixtures/):
                             hot root
   hot-path-function         std::function conversion/copy reachable
                             from a hot root
-  determinism-taint         wall-clock / random_device source, an
-                            alias of one, or unordered-container
-                            iteration feeding stats/scheduling sinks,
-                            outside src/harness
+  determinism-taint         any use of a nondeterministic source
+                            outside src/harness/: std::chrono, wall
+                            clocks, clock()/time(), rand()/srand(),
+                            random_device, std::<random> engines and
+                            distributions, unordered containers, or an
+                            alias of a clock/source
   lock-discipline           a StripeLockTable acquire whose
                             continuation closure contains no release,
                             or a straight-line double release
@@ -38,6 +40,15 @@ Rule ids (one firing fixture each under tools/analyze/fixtures/):
                             reaches a worseStatus fan-in, continuation,
                             or explicit check before the op is released
                             back to its pool (or is overwritten first)
+  event-core-priority-queue std::priority_queue or a raw heap algorithm
+                            outside src/sim/ (a second pending set
+                            would dispatch outside EventQueue's
+                            (when, seq) contract)
+  header-pragma-once        header without #pragma once
+  header-using-namespace    `using namespace` in a header
+  include-relative          parent-relative #include "../..." (use a
+                            root-relative path, as CMake's include
+                            dirs expect)
 """
 
 import posixpath
@@ -60,6 +71,10 @@ ALL_RULES = (
     "ec-isolation",
     "transitive-include",
     "iostatus-discipline",
+    "event-core-priority-queue",
+    "header-pragma-once",
+    "header-using-namespace",
+    "include-relative",
 )
 
 # -- shared token helpers ----------------------------------------------
@@ -407,14 +422,27 @@ def check_hot_path(files):
 
 
 # -- check 3: determinism taint ----------------------------------------
+#
+# Results must be a pure function of (config, seed), so outside
+# src/harness/ (operator-facing: ETAs, wall probes) any use of a
+# nondeterministic source is a finding, not only a use that reaches a
+# sink. That includes unordered containers, whose iteration order is
+# address-dependent, and std::<random>, whose sequences are
+# implementation-defined (draw from sim/rng.hpp instead).
 
 _CLOCK_NAMES = {"system_clock", "steady_clock", "high_resolution_clock"}
 _SOURCE_NAMES = {"random_device", "gettimeofday", "clock_gettime",
                  "__rdtsc", "_rdtsc", "timespec_get"}
 _UNORDERED = re.compile(r"^unordered_(?:map|set|multimap|multiset)$")
-_SINK_CALLS = {"add", "merge", "schedule", "scheduleAt", "record",
-               "accumulate", "observe", "combine", "push_back",
-               "insert", "emplace", "emplace_back"}
+_STD_RANDOM = re.compile(
+    r"^(?:mt19937(?:_64)?|minstd_rand0?|ranlux(?:24|48)(?:_base)?|"
+    r"knuth_b|default_random_engine|subtract_with_carry_engine|"
+    r"mersenne_twister_engine|linear_congruential_engine|"
+    r"(?:uniform_int|uniform_real|bernoulli|binomial|geometric|"
+    r"negative_binomial|poisson|exponential|gamma|weibull|"
+    r"extreme_value|normal|lognormal|chi_squared|cauchy|fisher_f|"
+    r"student_t|discrete|piecewise_constant|piecewise_linear)"
+    r"_distribution)$")
 
 
 def _alias_taint(fir):
@@ -427,6 +455,26 @@ def _alias_taint(fir):
     return tainted
 
 
+def _determinism_source(name, prev, nxt):
+    """Why identifier ``name`` (between ``prev`` and ``nxt``) names a
+    nondeterministic source, or None."""
+    if name in _CLOCK_NAMES or name in _SOURCE_NAMES or \
+            (name == "chrono" and "::" in (prev, nxt)):
+        return "nondeterministic source '%s'" % name
+    # C library calls; clock() even as a member, like the C call.
+    if nxt == "(" and (name == "clock" or
+                       (name in ("time", "rand", "srand") and
+                        prev != ".")):
+        return "wall-clock or unseeded %s() call" % name
+    if _STD_RANDOM.match(name):
+        return ("std::<random> '%s' (implementation-defined sequence)"
+                % name)
+    if _UNORDERED.match(name):
+        return ("unordered container '%s' (address-dependent iteration "
+                "order)" % name)
+    return None
+
+
 def check_determinism(files):
     findings = []
     for fir in files:
@@ -435,18 +483,12 @@ def check_determinism(files):
         tainted = _alias_taint(fir)
         alias_lines = {fir.defined_types.get(a) for a in tainted}
         for name, line, prev, nxt in fir.identifiers:
-            if name in _CLOCK_NAMES or name in _SOURCE_NAMES:
+            why = _determinism_source(name, prev, nxt)
+            if why:
                 findings.append(Finding(
                     fir.rel, line, "determinism-taint",
-                    "nondeterministic source '%s' in deterministic "
-                    "simulation code (results must replay bit-exact; "
-                    "draw from sim/rng.hpp)" % name))
-            elif name in ("rand", "srand") and nxt == "(" and \
-                    prev not in (".", "->", "::"):
-                findings.append(Finding(
-                    fir.rel, line, "determinism-taint",
-                    "unseeded %s() in deterministic simulation code"
-                    % name))
+                    "%s in deterministic simulation code (results must "
+                    "replay bit-exact; draw from sim/rng.hpp)" % why))
             elif name in tainted and line not in alias_lines and \
                     prev not in (".", "->"):
                 findings.append(Finding(
@@ -454,52 +496,6 @@ def check_determinism(files):
                     "use of '%s', an alias of a nondeterministic "
                     "clock/source (aliasing does not launder "
                     "nondeterminism)" % name))
-
-        # Unordered-container iteration feeding stats/scheduling sinks.
-        for fn in fir.functions:
-            if not fn.has_body:
-                continue
-            uvars = {name for types, name in fn.params
-                     if name and any(_UNORDERED.match(t) for t in types)}
-            for stmt in iter_stmts(fn.body):
-                if stmt.kind == "simple":
-                    names = [t.text for t in stmt.tokens]
-                    if any(_UNORDERED.match(x) for x in names):
-                        # Declaration of a local unordered container:
-                        # the declared name is the assignment lhs, or
-                        # the trailing identifier of the declaration.
-                        var = _assignment_lhs(stmt)
-                        if not var:
-                            ids = [t.text for t in stmt.tokens
-                                   if t.kind == "id"]
-                            var = ids[-1] if ids else None
-                        if var:
-                            uvars.add(var)
-                if stmt.kind != "loop" or not stmt.tokens:
-                    continue
-                hdr = [t.text for t in stmt.tokens]
-                if ":" not in hdr:
-                    continue
-                rhs = hdr[hdr.index(":") + 1:]
-                direct = any(_UNORDERED.match(x) for x in rhs)
-                via_var = bool(uvars & set(rhs))
-                if not (direct or via_var):
-                    continue
-                sink = None
-                for inner in iter_stmts(stmt.body):
-                    for c in stmt_calls(inner):
-                        if c.name in _SINK_CALLS:
-                            sink = c
-                            break
-                    if sink:
-                        break
-                if sink:
-                    findings.append(Finding(
-                        fir.rel, stmt.line, "determinism-taint",
-                        "iteration over an unordered container feeds "
-                        "'%s()' — iteration order is address-dependent "
-                        "and would leak nondeterminism into merged "
-                        "stats / event scheduling" % sink.name))
     return findings
 
 
@@ -868,6 +864,52 @@ def check_transitive_include(files):
     return findings
 
 
+# -- check 8: event-core pending set ----------------------------------
+
+_PENDING_SET = re.compile(r"^(?:priority_queue|(?:make|push|pop|sort)_heap)$")
+
+
+def check_event_core(files):
+    findings = []
+    for fir in files:
+        if fir.rel.startswith("src/sim/"):
+            continue
+        for name, line, _prev, _nxt in fir.identifiers:
+            if _PENDING_SET.match(name):
+                findings.append(Finding(
+                    fir.rel, line, "event-core-priority-queue",
+                    "ad-hoc pending set '%s' outside src/sim/ (the "
+                    "(when, seq) dispatch contract lives in EventQueue; "
+                    "schedule through it)" % name))
+    return findings
+
+
+# -- check 9: header and include hygiene -------------------------------
+
+
+def check_header_hygiene(files):
+    findings = []
+    for fir in files:
+        for line, text, angled in fir.includes:
+            if not angled and text.startswith(".."):
+                findings.append(Finding(
+                    fir.rel, line, "include-relative",
+                    "parent-relative #include \"%s\" (use a "
+                    "root-relative path, e.g. \"sim/time.hpp\")" % text))
+        if not fir.is_header:
+            continue
+        if not fir.pragma_once:
+            findings.append(Finding(fir.rel, 1, "header-pragma-once",
+                                    "header without #pragma once"))
+        for name, line, _prev, nxt in fir.identifiers:
+            if name == "using" and nxt == "namespace":
+                findings.append(Finding(
+                    fir.rel, line, "header-using-namespace",
+                    "`using namespace` in a header leaks into every "
+                    "includer"))
+    return findings
+
+
 ALL_CHECKS = (
     check_pooled_lifetime,
     check_hot_path,
@@ -877,6 +919,8 @@ ALL_CHECKS = (
     check_ec_isolation,
     check_iostatus_discipline,
     check_transitive_include,
+    check_event_core,
+    check_header_hygiene,
 )
 
 

@@ -23,6 +23,8 @@ _SUPPRESS_RE = re.compile(
     r'DECLUST_ANALYZE_SUPPRESS\s*\(\s*"([^":]*)(?::[^"]*)?"')
 
 _HOT_ANNOTATION = "declust::hot_path"
+_INCLUDE_LINE_RE = re.compile(r"^\s*#\s*include\b")
+_PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 
 
 def _load_cindex():
@@ -160,11 +162,17 @@ def _parse_one(cindex, index, full, rel, args):
     with open(full, encoding="utf-8") as f:
         lines = f.read().splitlines()
 
+    fir.pragma_once = any(_PRAGMA_ONCE_RE.match(l) for l in lines)
     # Identifier stream + suppressions straight from the token stream so
-    # the shape matches the builtin backend exactly.
+    # the shape matches the builtin backend: #define bodies count,
+    # #include paths do not.
+    include_lines = {n for n, l in enumerate(lines, 1)
+                     if _INCLUDE_LINE_RE.match(l)}
     toks = list(tu.cursor.get_tokens())
     for i, t in enumerate(toks):
         if t.location.file and t.location.file.name != full:
+            continue
+        if t.location.line in include_lines:
             continue
         if t.kind.name in ("IDENTIFIER", "KEYWORD"):
             prev = toks[i - 1].spelling if i else ""

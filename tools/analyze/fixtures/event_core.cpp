@@ -1,11 +1,13 @@
-// Fixture: the event-core rule must fire on ad-hoc pending sets kept
-// outside src/sim/ — a second priority queue would dispatch events
-// outside EventQueue's (when, seq) contract.
+// Fixture: ad-hoc pending sets kept outside src/sim/ — a second
+// priority queue would dispatch events outside EventQueue's
+// (when, seq) contract.
+// EXPECT-ANALYZE: event-core-priority-queue
+
 #include <algorithm>
 #include <queue>
 #include <vector>
 
-namespace declust {
+namespace fixture {
 
 struct PendingIo
 {
@@ -25,7 +27,7 @@ struct LaterFirst
 int
 drainAdHocQueue()
 {
-    std::priority_queue<PendingIo, std::vector<PendingIo>, LaterFirst> q; // EXPECT-LINT: event-core-priority-queue
+    std::priority_queue<PendingIo, std::vector<PendingIo>, LaterFirst> q; // EXPECT-ANALYZE: event-core-priority-queue
     q.push(PendingIo{10, 1});
     const int id = q.top().id;
     q.pop();
@@ -35,8 +37,8 @@ drainAdHocQueue()
 int
 drainRawHeap(std::vector<PendingIo> &pending)
 {
-    std::make_heap(pending.begin(), pending.end(), LaterFirst{}); // EXPECT-LINT: event-core-priority-queue
-    std::pop_heap(pending.begin(), pending.end(), LaterFirst{}); // EXPECT-LINT: event-core-priority-queue
+    std::make_heap(pending.begin(), pending.end(), LaterFirst{}); // EXPECT-ANALYZE: event-core-priority-queue
+    std::pop_heap(pending.begin(), pending.end(), LaterFirst{}); // EXPECT-ANALYZE: event-core-priority-queue
     const int id = pending.back().id;
     pending.pop_back();
     return id;
@@ -45,4 +47,4 @@ drainRawHeap(std::vector<PendingIo> &pending)
 // Mentioning pop_heap in a comment must NOT fire, nor inside a string:
 inline const char *kNote = "ordered via make_heap at set-up";
 
-} // namespace declust
+} // namespace fixture

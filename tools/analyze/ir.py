@@ -71,6 +71,8 @@ class FileIR:
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     # Lines occupied by DECLUST_ANALYZE_SUPPRESS calls themselves.
     suppress_sites: Set[int] = field(default_factory=set)
+    # The file carries a `#pragma once` directive.
+    pragma_once: bool = False
     backend: str = "builtin"
 
 

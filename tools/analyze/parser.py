@@ -108,19 +108,30 @@ class _Parser:
                 name = d.text.split("(", 1)[0].split(None, 1)[0]
                 if name:
                     self.fir.defined_macros.setdefault(name, d.line)
+            elif d.kind == "pragma" and d.text.split()[:1] == ["once"]:
+                self.fir.pragma_once = True
         self._collect_identifiers()
+        # Macro bodies are code too: a banned token in a #define is a
+        # use wherever the macro expands.
+        for d in directives:
+            if d.kind == "define":
+                self._collect_identifiers(lexer.lex(d.text)[0], d.line)
         self._collect_suppressions()
 
     # -- pre-passes ----------------------------------------------------
 
-    def _collect_identifiers(self):
-        toks = self.tokens
+    def _collect_identifiers(self, toks=None, line=None):
+        """Append ``toks`` (default: the file's tokens) to the
+        identifier stream, all at ``line`` if given."""
+        if toks is None:
+            toks = self.tokens
         n = len(toks)
         for idx, t in enumerate(toks):
             if t.kind == "id":
                 prev = toks[idx - 1].text if idx else ""
                 nxt = toks[idx + 1].text if idx + 1 < n else ""
-                self.fir.identifiers.append((t.text, t.line, prev, nxt))
+                self.fir.identifiers.append(
+                    (t.text, line or t.line, prev, nxt))
 
     def _collect_suppressions(self):
         """A suppression covers its own macro call (which may span

@@ -43,6 +43,16 @@ for b in build/bench/*; do
         echo "=== $b ==="
         "$b"
         ;;
+    fig8_recon_single)
+        # Figures 8-1/8-2 (one reconstruction process), then Figures
+        # 8-3/8-4 (eight-way parallel reconstruction).
+        echo "=== $b ==="
+        # shellcheck disable=SC2086
+        "$b" $JOBS_ARGS
+        echo "=== $b --processes 8 ==="
+        # shellcheck disable=SC2086
+        "$b" --processes 8 $JOBS_ARGS
+        ;;
     *)
         echo "=== $b ==="
         # shellcheck disable=SC2086
