@@ -60,16 +60,47 @@ toString(ReconAlgorithm algorithm)
     return "?";
 }
 
+/** Where in the regeneration subflow a loss was found (see
+ * IoSteps::regenLocked): at the lock grant, when the survivor reads
+ * completed, or at (or after) the combine. */
+enum class RegenStage : std::uint8_t { Locked, Read, Combined };
+
+/**
+ * What one flow supplies to the shared survivor-regeneration subflow
+ * (IoSteps::regenLocked / regenRead / regenCombined). Each flow has one
+ * static table; its op holds a pointer to it in IoOp::regen. Every
+ * hook runs with the stripe lock held.
+ */
+struct RegenFlow
+{
+    /** Disk priority of the G-1 survivor reads. */
+    Priority priority;
+    /** Counted when the survivor reads are issued (kCount: none). */
+    PerfCounter counter;
+    /** Hedge only (else null), checked at each of the three stages:
+     * true when the other side already delivered the value and this
+     * op's remaining work was drained as wasted. */
+    bool (*superseded)(IoOp *op);
+    /** The unit cannot be regenerated: what that loss means to the
+     * flow, by the stage that found it. */
+    void (*lost)(IoOp *op, RegenStage stage);
+    /** op->v holds the regenerated value: what the flow does with it. */
+    void (*regenerated)(IoOp *op);
+};
+
 // ----------------------------------------------------------------------
 // The continuation spine.
 //
 // Every flow below is a hand-rolled state machine over a pooled IoOp:
 // each step is a plain function whose context is the op itself, so
 // stepping a request never allocates. Fork/join is the op's `pending`
-// counter; the stripe lock resumes the op through its intrusive Waiter
-// base. The step order, issueUnit order, and values_.fresh() call
-// points replicate the original lambda-based flows exactly — the event
-// schedule (and therefore every published bench table) is unchanged.
+// counter; every critical section is entered through one lock step
+// (lockThen), which resumes the op through its intrusive Waiter base;
+// and the five flows that rebuild a unit from its stripe's survivors
+// share one regeneration subflow. The step order, issueUnit order, and
+// values_.fresh() call points replicate the original lambda-based flows
+// exactly — the event schedule (and therefore every published bench
+// table) is unchanged.
 // ----------------------------------------------------------------------
 
 struct IoSteps
@@ -232,6 +263,124 @@ struct IoSteps
     }
 
     // ------------------------------------------------------------------
+    // The lock step
+    // ------------------------------------------------------------------
+
+    /** Run @p step once @p op holds its stripe's lock: now if the lock
+     * is free, else when a release hands it over (the wait lands in the
+     * LockWaitTicks histogram). */
+    static void
+    lockThen(IoOp *op, void (*step)(IoOp *))
+    {
+        ArrayController &c = *op->ctl;
+        op->resume = &lockResume;
+        op->lockedStep = step;
+        op->mid = c.eq_.now();
+        if (c.locks_.acquire(op->su.stripe, op))
+            step(op);
+    }
+
+    static void
+    lockResume(StripeLockTable::Waiter *w)
+    {
+        IoOp *op = fromWaiter(w);
+        DECLUST_PERF_HIST(LockWaitTicks, op->ctl->eq_.now() - op->mid);
+        op->lockedStep(op);
+    }
+
+    // ------------------------------------------------------------------
+    // Survivor regeneration
+    //
+    // The paper's one recovery primitive: rebuild the unit at op->su by
+    // XORing the G-1 surviving units of its stripe under the stripe
+    // lock. Degraded reads, read repair, hedged reads, reconstruction
+    // cycles and scrub repair all run this subflow; each supplies only
+    // what differs through its RegenFlow table. Recoverability is
+    // checked at three stages: when the lock is granted, when the
+    // survivor reads have all completed, and — once a second disk has
+    // failed — after the XOR charge, since that disk may have died
+    // between the reads and the combine, poisoning a unit the XOR
+    // would use.
+    // ------------------------------------------------------------------
+
+    /** Regenerate op->su through @p flow, under the stripe lock. */
+    static void
+    startRegen(IoOp *op, const RegenFlow &flow)
+    {
+        op->regen = &flow;
+        lockThen(op, &regenLocked);
+    }
+
+    static void
+    regenLocked(IoOp *op)
+    {
+        const RegenFlow &flow = *op->regen;
+        if (flow.superseded && flow.superseded(op))
+            return;
+        ArrayController &c = *op->ctl;
+        // A second failure (or a survivor loss) may have made the target
+        // unrecoverable before or while this op waited for the lock.
+        if (c.stripeUnrecoverable(op->su.stripe) ||
+            !c.stripeRecoverableExcept(op->su.stripe, op->su.pos)) {
+            flow.lost(op, RegenStage::Locked);
+            return;
+        }
+        if (flow.counter != PerfCounter::kCount)
+            DECLUST_PERF_INC_ID(flow.counter);
+        const int G = c.layout_->stripeWidth();
+        op->status = IoStatus::Ok;
+        op->pending = G - 1;
+        for (int pos = 0; pos < G; ++pos) {
+            if (pos == op->su.pos)
+                continue;
+            const PhysicalUnit pu = c.effectiveUnit(op->su.stripe, pos);
+            // A survivor may sit on the failed disk (a rebuilt unit on
+            // its replacement) only when the target does not.
+            DECLUST_ASSERT(pu.disk != c.failedDisk_ ||
+                               c.layout_->place(op->su.stripe, op->su.pos)
+                                       .disk != c.failedDisk_,
+                           "two stripe units on one disk");
+            c.issueUnit(pu, false, &regenRead, op, flow.priority);
+        }
+    }
+
+    static void
+    regenRead(void *ctx, IoStatus status)
+    {
+        IoOp *op = fromCtx(ctx);
+        noteStatus(op, status);
+        if (--op->pending != 0)
+            return;
+        const RegenFlow &flow = *op->regen;
+        if (flow.superseded && flow.superseded(op))
+            return;
+        if (op->status != IoStatus::Ok) {
+            // A survivor failed too: the unit cannot be regenerated.
+            flow.lost(op, RegenStage::Read);
+            return;
+        }
+        ArrayController &c = *op->ctl;
+        c.afterXor(c.layout_->stripeWidth() - 1, &regenCombined, op);
+    }
+
+    static void
+    regenCombined(void *ctx)
+    {
+        IoOp *op = fromCtx(ctx);
+        const RegenFlow &flow = *op->regen;
+        if (flow.superseded && flow.superseded(op))
+            return;
+        ArrayController &c = *op->ctl;
+        if (c.secondFailedDisk_ >= 0 &&
+            !c.stripeRecoverableExcept(op->su.stripe, op->su.pos)) {
+            flow.lost(op, RegenStage::Combined);
+            return;
+        }
+        op->v = c.xorStripeExcept(op->su.stripe, op->su.pos);
+        flow.regenerated(op);
+    }
+
+    // ------------------------------------------------------------------
     // Reads
     // ------------------------------------------------------------------
 
@@ -264,12 +413,8 @@ struct IoSteps
             return;
         }
 
-        // On-the-fly reconstruction: read the G-1 surviving units of
-        // the stripe under the stripe lock and XOR them.
-        op->resume = &readDegradedResume;
-        op->mid = c.eq_.now();
-        if (c.locks_.acquire(op->su.stripe, op))
-            readDegradedLocked(op);
+        // On-the-fly reconstruction from the stripe's G-1 survivors.
+        startRegen(op, kDegradedRead);
     }
 
     static void
@@ -289,10 +434,67 @@ struct IoSteps
         finishPart(op);
     }
 
+    /** A degraded read that cannot regenerate completes lost; once its
+     * survivor reads have run, the failed-disk unit it targeted is also
+     * abandoned by reconstruction. */
+    static void
+    degradedLost(IoOp *op, RegenStage stage)
+    {
+        ArrayController &c = *op->ctl;
+        loseStripe(c, op->su.stripe);
+        if (stage != RegenStage::Locked && c.reconActive_ &&
+            op->data.disk == c.failedDisk_)
+            c.markReconstructionLost(op->data.offset);
+        finishLostRead(op, /*locked=*/true);
+    }
+
+    static void
+    degradedRegenerated(IoOp *op)
+    {
+        ArrayController &c = *op->ctl;
+        DECLUST_ASSERT(op->v == c.shadow_.get(op->dataUnit),
+                       "on-the-fly reconstruction of unit ", op->dataUnit,
+                       " produced wrong data");
+        const bool piggyback =
+            c.reconActive_ &&
+            c.algorithm_ == ReconAlgorithm::RedirectPiggyback &&
+            c.reconstructed_[static_cast<std::size_t>(op->data.offset)] ==
+                kNotRebuilt;
+        if (!piggyback) {
+            c.locks_.release(op->su.stripe);
+            finishPart(op);
+            return;
+        }
+        // Piggyback: the user response is complete, but the freshly
+        // reconstructed unit is also written to its rebuild home (the
+        // replacement disk or the stripe's spare unit).
+        DECLUST_PERF_INC(PiggybackWrites);
+        userPartDone(op);
+        op->dst0 = c.rebuildTarget(op->su.stripe, op->data.offset);
+        c.issueUnit(op->dst0, true, &piggybackWritten, op,
+                    Priority::Background);
+    }
+
+    static void
+    piggybackWritten(void *ctx, IoStatus status)
+    {
+        IoOp *op = fromCtx(ctx);
+        ArrayController &c = *op->ctl;
+        noteStatus(op, status);
+        if (status == IoStatus::Ok) {
+            c.contents_.set(op->dst0.disk, op->dst0.offset, op->v);
+            c.markReconstructed(op->data.offset);
+        }
+        // On failure the piggyback write is simply dropped: the sweep
+        // will reconstruct (or abandon) the unit on its own.
+        c.locks_.release(op->su.stripe);
+        c.ops_.release(op);
+    }
+
     /** The home read failed (medium error, or the home sat on a disk
      * that died mid-flight): regenerate the value from the stripe's
-     * survivors under the stripe lock. A medium error additionally
-     * rewrites the recovered value to the (remapped) home sector. */
+     * survivors. A medium error additionally rewrites the recovered
+     * value to the (remapped) home sector. */
     static void
     startReadRepair(IoOp *op, IoStatus status)
     {
@@ -305,74 +507,21 @@ struct IoSteps
         }
         DECLUST_PERF_INC(ReadRepairs);
         op->repairRewrite = status == IoStatus::MediumError;
-        op->status = IoStatus::Ok;
-        op->resume = &readRepairResume;
-        op->mid = c.eq_.now();
-        if (c.locks_.acquire(op->su.stripe, op))
-            readRepairLocked(op);
+        startRegen(op, kReadRepair);
     }
 
+    /** A read repair that cannot regenerate completes the read lost. */
     static void
-    readRepairResume(StripeLockTable::Waiter *w)
+    repairLost(IoOp *op, RegenStage)
     {
-        IoOp *op = fromWaiter(w);
-        DECLUST_PERF_HIST(LockWaitTicks, op->ctl->eq_.now() - op->mid);
-        readRepairLocked(op);
+        loseStripe(*op->ctl, op->su.stripe);
+        finishLostRead(op, /*locked=*/true);
     }
 
     static void
-    readRepairLocked(IoOp *op)
+    repairRegenerated(IoOp *op)
     {
         ArrayController &c = *op->ctl;
-        // Re-check under the lock: a second failure may have landed
-        // while this op waited.
-        if (c.stripeUnrecoverable(op->su.stripe) ||
-            !c.stripeRecoverableExcept(op->su.stripe, op->su.pos)) {
-            loseStripe(c, op->su.stripe);
-            finishLostRead(op, /*locked=*/true);
-            return;
-        }
-        const int G = c.layout_->stripeWidth();
-        op->pending = G - 1;
-        for (int pos = 0; pos < G; ++pos) {
-            if (pos == op->su.pos)
-                continue;
-            c.issueUnit(c.effectiveUnit(op->su.stripe, pos), false,
-                        &readRepairRead, op);
-        }
-    }
-
-    static void
-    readRepairRead(void *ctx, IoStatus status)
-    {
-        IoOp *op = fromCtx(ctx);
-        noteStatus(op, status);
-        if (--op->pending != 0)
-            return;
-        ArrayController &c = *op->ctl;
-        if (op->status != IoStatus::Ok) {
-            // A survivor failed too: the unit cannot be regenerated.
-            loseStripe(c, op->su.stripe);
-            finishLostRead(op, /*locked=*/true);
-            return;
-        }
-        c.afterXor(c.layout_->stripeWidth() - 1, &readRepairCombined, op);
-    }
-
-    static void
-    readRepairCombined(void *ctx)
-    {
-        IoOp *op = fromCtx(ctx);
-        ArrayController &c = *op->ctl;
-        // Re-check recoverability: a second disk may have died after the
-        // survivor reads completed, poisoning a unit this XOR would use.
-        if (c.secondFailedDisk_ >= 0 &&
-            !c.stripeRecoverableExcept(op->su.stripe, op->su.pos)) {
-            loseStripe(c, op->su.stripe);
-            finishLostRead(op, /*locked=*/true);
-            return;
-        }
-        op->v = c.xorStripeExcept(op->su.stripe, op->su.pos);
         DECLUST_ASSERT(op->v == c.shadow_.get(op->dataUnit),
                        "parity repair of unit ", op->dataUnit,
                        " produced wrong data");
@@ -399,115 +548,6 @@ struct IoSteps
         // already match; only the media state changed.
         c.locks_.release(op->su.stripe);
         finishPart(op);
-    }
-
-    static void
-    readDegradedResume(StripeLockTable::Waiter *w)
-    {
-        IoOp *op = fromWaiter(w);
-        DECLUST_PERF_HIST(LockWaitTicks, op->ctl->eq_.now() - op->mid);
-        readDegradedLocked(op);
-    }
-
-    static void
-    readDegradedLocked(IoOp *op)
-    {
-        ArrayController &c = *op->ctl;
-        // A second failure (or a survivor loss) may make the target
-        // unrecoverable before or while this op waited for the lock.
-        if (c.stripeUnrecoverable(op->su.stripe) ||
-            !c.stripeRecoverableExcept(op->su.stripe, op->su.pos)) {
-            loseStripe(c, op->su.stripe);
-            finishLostRead(op, /*locked=*/true);
-            return;
-        }
-        const int G = c.layout_->stripeWidth();
-        DECLUST_PERF_INC(DegradedReads);
-        op->pending = G - 1;
-        for (int pos = 0; pos < G; ++pos) {
-            if (pos == op->su.pos)
-                continue;
-            const PhysicalUnit pu = c.effectiveUnit(op->su.stripe, pos);
-            DECLUST_ASSERT(pu.disk != c.failedDisk_,
-                           "two stripe units on one disk");
-            c.issueUnit(pu, false, &readDegradedRead, op);
-        }
-    }
-
-    static void
-    readDegradedRead(void *ctx, IoStatus status)
-    {
-        IoOp *op = fromCtx(ctx);
-        noteStatus(op, status);
-        if (--op->pending != 0)
-            return;
-        ArrayController &c = *op->ctl;
-        if (op->status != IoStatus::Ok) {
-            // A survivor failed: the lost unit cannot be regenerated.
-            loseStripe(c, op->su.stripe);
-            if (c.reconActive_ && op->data.disk == c.failedDisk_)
-                c.markReconstructionLost(op->data.offset);
-            finishLostRead(op, /*locked=*/true);
-            return;
-        }
-        c.afterXor(c.layout_->stripeWidth() - 1, &readDegradedCombined, op);
-    }
-
-    static void
-    readDegradedCombined(void *ctx)
-    {
-        IoOp *op = fromCtx(ctx);
-        ArrayController &c = *op->ctl;
-        // Re-check recoverability: a second disk may have died after the
-        // survivor reads completed, poisoning a unit this XOR would use.
-        if (c.secondFailedDisk_ >= 0 &&
-            !c.stripeRecoverableExcept(op->su.stripe, op->su.pos)) {
-            loseStripe(c, op->su.stripe);
-            if (c.reconActive_ && op->data.disk == c.failedDisk_)
-                c.markReconstructionLost(op->data.offset);
-            finishLostRead(op, /*locked=*/true);
-            return;
-        }
-        const UnitValue value = c.xorStripeExcept(op->su.stripe,
-                                                  op->su.pos);
-        DECLUST_ASSERT(value == c.shadow_.get(op->dataUnit),
-                       "on-the-fly reconstruction of unit ", op->dataUnit,
-                       " produced wrong data");
-        const bool piggyback =
-            c.reconActive_ &&
-            c.algorithm_ == ReconAlgorithm::RedirectPiggyback &&
-            c.reconstructed_[static_cast<std::size_t>(op->data.offset)] ==
-                kNotRebuilt;
-        if (!piggyback) {
-            c.locks_.release(op->su.stripe);
-            finishPart(op);
-            return;
-        }
-        // Piggyback: the user response is complete, but the freshly
-        // reconstructed unit is also written to its rebuild home (the
-        // replacement disk or the stripe's spare unit).
-        DECLUST_PERF_INC(PiggybackWrites);
-        op->v = value;
-        userPartDone(op);
-        op->dst0 = c.rebuildTarget(op->su.stripe, op->data.offset);
-        c.issueUnit(op->dst0, true, &piggybackWritten, op,
-                    Priority::Background);
-    }
-
-    static void
-    piggybackWritten(void *ctx, IoStatus status)
-    {
-        IoOp *op = fromCtx(ctx);
-        ArrayController &c = *op->ctl;
-        noteStatus(op, status);
-        if (status == IoStatus::Ok) {
-            c.contents_.set(op->dst0.disk, op->dst0.offset, op->v);
-            c.markReconstructed(op->data.offset);
-        }
-        // On failure the piggyback write is simply dropped: the sweep
-        // will reconstruct (or abandon) the unit on its own.
-        c.locks_.release(op->su.stripe);
-        c.ops_.release(op);
     }
 
     // ------------------------------------------------------------------
@@ -610,7 +650,6 @@ struct IoSteps
         ArrayController &c = *op->ctl;
         op->hedgeFlags = kHedgeArmed;
         op->hedgeHolds = 1;
-        op->status = IoStatus::Ok;
         ++c.hedgedLive_;
         c.eq_.scheduleIn(c.hedgeTicks_, [op] { hedgeDeadline(op); });
         c.issueUnit(op->dst0, false, &hedgePrimaryDone, op);
@@ -628,8 +667,8 @@ struct IoSteps
     }
 
     /**
-     * Start the reconstruct side of a hedged read: acquire the stripe
-     * lock and read the G-1 survivors. Returns false — without
+     * Start the reconstruct side of a hedged read: the regeneration
+     * subflow over the G-1 survivors. Returns false — without
      * launching — if the stripe cannot supply the value (already
      * unrecoverable, or a survivor is lost).
      */
@@ -644,27 +683,32 @@ struct IoSteps
         ++op->hedgeHolds;
         DECLUST_PERF_INC(HedgesLaunched);
         ++c.hedgeStats_.launched;
-        op->resume = &hedgeResume;
-        op->mid = c.eq_.now();
-        if (c.locks_.acquire(op->su.stripe, op))
-            hedgeLocked(op);
+        startRegen(op, kHedge);
         return true;
     }
 
-    static void
-    hedgeResume(StripeLockTable::Waiter *w)
+    /** The primary already delivered the value (it finished while the
+     * hedge waited for the lock, read the survivors, or waited on the
+     * XOR charge): drain the chain and discard its work. */
+    static bool
+    hedgeSuperseded(IoOp *op)
     {
-        IoOp *op = fromWaiter(w);
-        DECLUST_PERF_HIST(LockWaitTicks, op->ctl->eq_.now() - op->mid);
-        hedgeLocked(op);
+        if (!(op->hedgeFlags & kHedgeResolved))
+            return false;
+        ArrayController &c = *op->ctl;
+        DECLUST_PERF_INC(HedgeWasted);
+        ++c.hedgeStats_.wasted;
+        c.locks_.release(op->su.stripe);
+        hedgeEnd(op);
+        return true;
     }
 
     /** The hedge chain cannot deliver (the stripe lost a survivor).
      * With the primary already failed this is a lost read; otherwise
      * the primary is still in flight and may yet succeed, so the chain
-     * just steps aside. Called with the stripe lock held. */
+     * just steps aside. */
     static void
-    hedgeChainFailed(IoOp *op)
+    hedgeLost(IoOp *op, RegenStage)
     {
         ArrayController &c = *op->ctl;
         if (op->hedgeFlags & kHedgePrimaryDone) {
@@ -677,78 +721,9 @@ struct IoSteps
     }
 
     static void
-    hedgeLocked(IoOp *op)
+    hedgeRegenerated(IoOp *op)
     {
         ArrayController &c = *op->ctl;
-        if (op->hedgeFlags & kHedgeResolved) {
-            // The primary finished while the hedge waited for the lock.
-            DECLUST_PERF_INC(HedgeWasted);
-            ++c.hedgeStats_.wasted;
-            c.locks_.release(op->su.stripe);
-            hedgeEnd(op);
-            return;
-        }
-        // Re-check under the lock: a failure may have landed while this
-        // op waited.
-        if (c.stripeUnrecoverable(op->su.stripe) ||
-            !c.stripeRecoverableExcept(op->su.stripe, op->su.pos)) {
-            hedgeChainFailed(op);
-            return;
-        }
-        const int G = c.layout_->stripeWidth();
-        op->pending = G - 1;
-        for (int pos = 0; pos < G; ++pos) {
-            if (pos == op->su.pos)
-                continue;
-            c.issueUnit(c.effectiveUnit(op->su.stripe, pos), false,
-                        &hedgeRead, op);
-        }
-    }
-
-    static void
-    hedgeRead(void *ctx, IoStatus status)
-    {
-        IoOp *op = fromCtx(ctx);
-        noteStatus(op, status);
-        if (--op->pending != 0)
-            return;
-        ArrayController &c = *op->ctl;
-        if (op->hedgeFlags & kHedgeResolved) {
-            // The primary beat the reconstruction: drain and discard.
-            DECLUST_PERF_INC(HedgeWasted);
-            ++c.hedgeStats_.wasted;
-            c.locks_.release(op->su.stripe);
-            hedgeEnd(op);
-            return;
-        }
-        if (op->status != IoStatus::Ok) {
-            hedgeChainFailed(op);
-            return;
-        }
-        c.afterXor(c.layout_->stripeWidth() - 1, &hedgeCombined, op);
-    }
-
-    static void
-    hedgeCombined(void *ctx)
-    {
-        IoOp *op = fromCtx(ctx);
-        ArrayController &c = *op->ctl;
-        if (op->hedgeFlags & kHedgeResolved) {
-            // The primary completed while the XOR charge was pending.
-            DECLUST_PERF_INC(HedgeWasted);
-            ++c.hedgeStats_.wasted;
-            c.locks_.release(op->su.stripe);
-            hedgeEnd(op);
-            return;
-        }
-        // A second disk may have died after the survivor reads
-        // completed, poisoning a unit this XOR would use.
-        if (c.secondFailedDisk_ >= 0 &&
-            !c.stripeRecoverableExcept(op->su.stripe, op->su.pos)) {
-            hedgeChainFailed(op);
-            return;
-        }
-        op->v = c.xorStripeExcept(op->su.stripe, op->su.pos);
         DECLUST_ASSERT(op->v == c.shadow_.get(op->dataUnit),
                        "hedged reconstruction of unit ", op->dataUnit,
                        " produced wrong data");
@@ -831,19 +806,7 @@ struct IoSteps
     static void
     startWrite(IoOp *op)
     {
-        ArrayController &c = *op->ctl;
-        op->resume = &writeCriticalResume;
-        op->mid = c.eq_.now();
-        if (c.locks_.acquire(op->su.stripe, op))
-            writeCriticalStep(op);
-    }
-
-    static void
-    writeCriticalResume(StripeLockTable::Waiter *w)
-    {
-        IoOp *op = fromWaiter(w);
-        DECLUST_PERF_HIST(LockWaitTicks, op->ctl->eq_.now() - op->mid);
-        writeCriticalStep(op);
+        lockThen(op, &writeCriticalStep);
     }
 
     static void
@@ -1187,14 +1150,6 @@ struct IoSteps
     // ------------------------------------------------------------------
 
     static void
-    largeWriteResume(StripeLockTable::Waiter *w)
-    {
-        IoOp *op = fromWaiter(w);
-        DECLUST_PERF_HIST(LockWaitTicks, op->ctl->eq_.now() - op->mid);
-        largeWriteStep(op);
-    }
-
-    static void
     largeWriteStep(IoOp *op)
     {
         ArrayController &c = *op->ctl;
@@ -1262,6 +1217,8 @@ struct IoSteps
     // Reconstruction cycles
     // ------------------------------------------------------------------
 
+    /** End a cycle op (reconstruction, scrub or copyback): recycle the
+     * op, then report @p res to the cycle's driver. */
     static void
     finishCycle(IoOp *op, CycleResult res)
     {
@@ -1275,18 +1232,28 @@ struct IoSteps
         done(res);
     }
 
+    /** Lock step of a reconstruction cycle. A user write-through may
+     * have rebuilt the unit while the cycle waited (or a fault may have
+     * doomed it); either way the sweep moves on. */
     static void
-    reconResume(StripeLockTable::Waiter *w)
+    reconLocked(IoOp *op)
     {
-        IoOp *op = fromWaiter(w);
-        DECLUST_PERF_HIST(LockWaitTicks, op->ctl->eq_.now() - op->mid);
-        reconLocked(op);
+        ArrayController &c = *op->ctl;
+        if (c.reconstructed_[static_cast<std::size_t>(op->offset)] !=
+            kNotRebuilt) {
+            c.locks_.release(op->su.stripe);
+            finishCycle(op, CycleResult{});
+            return;
+        }
+        op->start = c.eq_.now(); // read-phase start
+        regenLocked(op);
     }
 
-    /** Abandon a reconstruction cycle: the unit's stripe lost a second
-     * unit, so the unit can never be regenerated. */
+    /** Abandon a reconstruction cycle: a surviving unit of the stripe
+     * is gone (or the rebuilt value has no home), so the unit can never
+     * be regenerated. Record it and keep sweeping. */
     static void
-    reconCycleLost(IoOp *op)
+    reconLost(IoOp *op, RegenStage)
     {
         ArrayController &c = *op->ctl;
         loseStripe(c, op->su.stripe);
@@ -1299,67 +1266,10 @@ struct IoSteps
     }
 
     static void
-    reconLocked(IoOp *op)
+    reconRegenerated(IoOp *op)
     {
         ArrayController &c = *op->ctl;
-        // A user write-through may have reconstructed it while we waited
-        // (or a fault may have doomed it; either way the sweep moves on).
-        if (c.reconstructed_[static_cast<std::size_t>(op->offset)] !=
-            kNotRebuilt) {
-            c.locks_.release(op->su.stripe);
-            finishCycle(op, CycleResult{});
-            return;
-        }
-        if (c.stripeUnrecoverable(op->su.stripe) ||
-            !c.stripeRecoverableExcept(op->su.stripe, op->su.pos)) {
-            reconCycleLost(op);
-            return;
-        }
-        DECLUST_PERF_INC(ReconCycles);
-        op->start = c.eq_.now(); // read-phase start
-        const int G = c.layout_->stripeWidth();
-        op->pending = G - 1;
-        for (int p = 0; p < G; ++p) {
-            if (p == op->su.pos)
-                continue;
-            const PhysicalUnit pu = c.effectiveUnit(op->su.stripe, p);
-            DECLUST_ASSERT(pu.disk != c.failedDisk_,
-                           "two stripe units on one disk");
-            c.issueUnit(pu, false, &reconRead, op, Priority::Background);
-        }
-    }
-
-    static void
-    reconRead(void *ctx, IoStatus status)
-    {
-        IoOp *op = fromCtx(ctx);
-        noteStatus(op, status);
-        if (--op->pending != 0)
-            return;
-        ArrayController &c = *op->ctl;
-        if (op->status != IoStatus::Ok) {
-            // A surviving unit of the stripe could not be read: the
-            // lost unit is gone for good. Record it and keep sweeping.
-            reconCycleLost(op);
-            return;
-        }
-        c.afterXor(c.layout_->stripeWidth() - 1, &reconCombined, op);
-    }
-
-    static void
-    reconCombined(void *ctx)
-    {
-        IoOp *op = fromCtx(ctx);
-        ArrayController &c = *op->ctl;
-        // Re-check recoverability: a second disk may have died after the
-        // survivor reads completed, poisoning a unit this XOR would use.
-        if (c.secondFailedDisk_ >= 0 &&
-            !c.stripeRecoverableExcept(op->su.stripe, op->su.pos)) {
-            reconCycleLost(op);
-            return;
-        }
         op->mid = c.eq_.now(); // write-phase start
-        op->v = c.xorStripeExcept(op->su.stripe, op->su.pos);
         op->dst0 = c.rebuildTarget(op->su.stripe, op->offset);
         c.issueUnit(op->dst0, true, &reconWritten, op,
                     Priority::Background);
@@ -1373,7 +1283,7 @@ struct IoSteps
         if (op->status != IoStatus::Ok) {
             // The rebuild-target write failed (e.g. the spare's disk
             // died mid-flight): the regenerated value has no home.
-            reconCycleLost(op);
+            reconLost(op, RegenStage::Combined);
             return;
         }
         ArrayController &c = *op->ctl;
@@ -1398,9 +1308,8 @@ struct IoSteps
     // remapped a latent defect under the scrubber instead of under a
     // future degraded read — the cycle regenerates the value from the
     // stripe's survivors and rewrites the remapped home, all at
-    // background priority under the stripe lock. Scrub cycles reuse
-    // the CycleResult plumbing (finishCycle) but never touch user
-    // response statistics.
+    // background priority under the stripe lock. Scrub cycles report
+    // through finishCycle but never touch user response statistics.
     // ------------------------------------------------------------------
 
     static void
@@ -1416,7 +1325,6 @@ struct IoSteps
     scrubReadDone(void *ctx, IoStatus status)
     {
         IoOp *op = fromCtx(ctx);
-        ArrayController &c = *op->ctl;
         noteStatus(op, status);
         if (status == IoStatus::Ok) {
             CycleResult res;
@@ -1432,24 +1340,12 @@ struct IoSteps
         }
         // Latent defect found: the drive remapped the sector and lost
         // its data. Regenerate from parity and rewrite the home.
-        op->status = IoStatus::Ok;
-        op->resume = &scrubRepairResume;
-        op->mid = c.eq_.now();
-        if (c.locks_.acquire(op->su.stripe, op))
-            scrubRepairLocked(op);
-    }
-
-    static void
-    scrubRepairResume(StripeLockTable::Waiter *w)
-    {
-        IoOp *op = fromWaiter(w);
-        DECLUST_PERF_HIST(LockWaitTicks, op->ctl->eq_.now() - op->mid);
-        scrubRepairLocked(op);
+        startRegen(op, kScrubRepair);
     }
 
     /** Abandon a scrub repair: the stripe cannot regenerate the unit. */
     static void
-    scrubRepairLost(IoOp *op)
+    scrubLost(IoOp *op, RegenStage)
     {
         ArrayController &c = *op->ctl;
         loseStripe(c, op->su.stripe);
@@ -1461,53 +1357,9 @@ struct IoSteps
     }
 
     static void
-    scrubRepairLocked(IoOp *op)
+    scrubRegenerated(IoOp *op)
     {
         ArrayController &c = *op->ctl;
-        if (c.stripeUnrecoverable(op->su.stripe) ||
-            !c.stripeRecoverableExcept(op->su.stripe, op->su.pos)) {
-            scrubRepairLost(op);
-            return;
-        }
-        const int G = c.layout_->stripeWidth();
-        op->pending = G - 1;
-        for (int pos = 0; pos < G; ++pos) {
-            if (pos == op->su.pos)
-                continue;
-            c.issueUnit(c.effectiveUnit(op->su.stripe, pos), false,
-                        &scrubRepairRead, op, Priority::Background);
-        }
-    }
-
-    static void
-    scrubRepairRead(void *ctx, IoStatus status)
-    {
-        IoOp *op = fromCtx(ctx);
-        noteStatus(op, status);
-        if (--op->pending != 0)
-            return;
-        ArrayController &c = *op->ctl;
-        if (op->status != IoStatus::Ok) {
-            // A survivor failed too: the scrubbed unit is gone.
-            scrubRepairLost(op);
-            return;
-        }
-        c.afterXor(c.layout_->stripeWidth() - 1, &scrubCombined, op);
-    }
-
-    static void
-    scrubCombined(void *ctx)
-    {
-        IoOp *op = fromCtx(ctx);
-        ArrayController &c = *op->ctl;
-        // Re-check recoverability: a disk may have died after the
-        // survivor reads completed, poisoning a unit this XOR would use.
-        if (c.secondFailedDisk_ >= 0 &&
-            !c.stripeRecoverableExcept(op->su.stripe, op->su.pos)) {
-            scrubRepairLost(op);
-            return;
-        }
-        op->v = c.xorStripeExcept(op->su.stripe, op->su.pos);
         // The in-memory model never corrupted the value; the medium
         // did. The regenerated value must equal the stored one.
         DECLUST_ASSERT(op->v ==
@@ -1536,14 +1388,6 @@ struct IoSteps
     // ------------------------------------------------------------------
     // Copyback cycles
     // ------------------------------------------------------------------
-
-    static void
-    copybackResume(StripeLockTable::Waiter *w)
-    {
-        IoOp *op = fromWaiter(w);
-        DECLUST_PERF_HIST(LockWaitTicks, op->ctl->eq_.now() - op->mid);
-        copybackLocked(op);
-    }
 
     static void
     copybackLocked(IoOp *op)
@@ -1584,9 +1428,9 @@ struct IoSteps
         c.reconstructed_[static_cast<std::size_t>(op->offset)] = kNotRebuilt;
         --c.remappedCount_;
         c.locks_.release(op->su.stripe);
-        std::function<void(bool)> done = std::move(op->copyDone);
-        c.ops_.release(op);
-        done(true);
+        CycleResult res;
+        res.skipped = false;
+        finishCycle(op, res);
     }
 
     // ------------------------------------------------------------------
@@ -1610,7 +1454,31 @@ struct IoSteps
         c->deferredPool_.deallocate(d);
         c->disks_[static_cast<std::size_t>(disk)]->submit(req);
     }
+
+    /** @{ The regeneration flows (defined after IoSteps). */
+    static const RegenFlow kDegradedRead;
+    static const RegenFlow kReadRepair;
+    static const RegenFlow kHedge;
+    static const RegenFlow kRecon;
+    static const RegenFlow kScrubRepair;
+    /** @} */
 };
+
+const RegenFlow IoSteps::kDegradedRead{
+    Priority::Normal, PerfCounter::DegradedReads, nullptr,
+    &IoSteps::degradedLost, &IoSteps::degradedRegenerated};
+const RegenFlow IoSteps::kReadRepair{
+    Priority::Normal, PerfCounter::kCount, nullptr, &IoSteps::repairLost,
+    &IoSteps::repairRegenerated};
+const RegenFlow IoSteps::kHedge{
+    Priority::Normal, PerfCounter::kCount, &IoSteps::hedgeSuperseded,
+    &IoSteps::hedgeLost, &IoSteps::hedgeRegenerated};
+const RegenFlow IoSteps::kRecon{
+    Priority::Background, PerfCounter::ReconCycles, nullptr,
+    &IoSteps::reconLost, &IoSteps::reconRegenerated};
+const RegenFlow IoSteps::kScrubRepair{
+    Priority::Background, PerfCounter::kCount, nullptr,
+    &IoSteps::scrubLost, &IoSteps::scrubRegenerated};
 
 // ----------------------------------------------------------------------
 
@@ -1961,10 +1829,7 @@ ArrayController::writeUnits(std::int64_t firstDataUnit, int count,
         part->kind = RequestKind::Write;
         if (wholeStripeAt(unit)) {
             part->su = StripeUnit{unit / dus, 0};
-            part->resume = &IoSteps::largeWriteResume;
-            part->mid = eq_.now();
-            if (locks_.acquire(part->su.stripe, part))
-                IoSteps::largeWriteStep(part);
+            IoSteps::lockThen(part, &IoSteps::largeWriteStep);
             unit += dus;
         } else {
             const UnitLoc loc = locate(unit);
@@ -1972,10 +1837,7 @@ ArrayController::writeUnits(std::int64_t firstDataUnit, int count,
             part->data = loc.data;
             part->parity = loc.parity;
             part->dataUnit = unit;
-            part->resume = &IoSteps::writeCriticalResume;
-            part->mid = eq_.now();
-            if (locks_.acquire(part->su.stripe, part))
-                IoSteps::writeCriticalStep(part);
+            IoSteps::startWrite(part);
             ++unit;
         }
     }
@@ -2260,10 +2122,8 @@ ArrayController::reconstructOffset(int offset,
     op->su = *su;
     op->offset = offset;
     op->cycleDone = std::move(done);
-    op->resume = &IoSteps::reconResume;
-    op->mid = eq_.now();
-    if (locks_.acquire(op->su.stripe, op))
-        IoSteps::reconLocked(op);
+    op->regen = &IoSteps::kRecon;
+    IoSteps::lockThen(op, &IoSteps::reconLocked);
 }
 
 void
@@ -2342,7 +2202,8 @@ ArrayController::beginCopyback()
 }
 
 void
-ArrayController::copybackOffset(int offset, std::function<void(bool)> done)
+ArrayController::copybackOffset(int offset,
+                                std::function<void(CycleResult)> done)
 {
     DECLUST_ASSERT(copybackActive_, "beginCopyback() first");
     DECLUST_ASSERT(offset >= 0 && offset < unitsPerDisk(),
@@ -2350,18 +2211,15 @@ ArrayController::copybackOffset(int offset, std::function<void(bool)> done)
     const auto su = layout_->invert(remapDisk_, offset);
     if (!su || su->pos >= layout_->stripeWidth() ||
         !reconstructed_[static_cast<std::size_t>(offset)]) {
-        done(false);
+        done(CycleResult{});
         return;
     }
     IoOp *op = ops_.acquire();
     op->ctl = this;
     op->su = *su;
     op->offset = offset;
-    op->copyDone = std::move(done);
-    op->resume = &IoSteps::copybackResume;
-    op->mid = eq_.now();
-    if (locks_.acquire(op->su.stripe, op))
-        IoSteps::copybackLocked(op);
+    op->cycleDone = std::move(done);
+    IoSteps::lockThen(op, &IoSteps::copybackLocked);
 }
 
 void

@@ -22,6 +22,10 @@
  * array/io_op.hpp) stepped through static continuation functions, so
  * steady-state user I/O performs no heap allocation: no lambda-capture
  * std::functions, no waiter queues, no per-request callback boxing.
+ * Every critical section is entered through one lock step, and the
+ * five flows that rebuild a unit from its stripe's G-1 survivors
+ * (degraded read, read repair, hedged read, reconstruction cycle,
+ * scrub repair) share one regeneration subflow.
  */
 #pragma once
 
@@ -341,10 +345,11 @@ class ArrayController
 
     /**
      * Copy one remapped unit from its spare back to a fresh replacement
-     * disk (beginCopyback() must have run). @p done receives true if a
-     * unit was copied, false if the offset needed no copy.
+     * disk (beginCopyback() must have run). @p done receives a result
+     * with `skipped` set if the offset needed no copy (reported before
+     * this call returns), clear once a unit was copied.
      */
-    void copybackOffset(int offset, std::function<void(bool)> done);
+    void copybackOffset(int offset, std::function<void(CycleResult)> done);
 
     /** Install a blank replacement for the remapped disk (copyback). */
     void beginCopyback();
@@ -418,13 +423,11 @@ class ArrayController
 
     /**
      * Simulated controller-CPU ticks charged for XORing @p units stripe
-     * units: units x the per-unit tick cost, which is msToTicks of
-     * xorOverheadMsPerUnit (modes off/verify) or of the calibrated
-     * throughput-derived ms/unit (mode on). The basis is explicitly
-     * per-unit — rounding happens once, in the per-unit constant — so
-     * the charge is additive across batches: charging a G-1-unit
-     * combine equals charging G-1 single units, and calibrated
-     * constants plug in without double-charging.
+     * units: units x the per-unit tick cost, msToTicks of
+     * xorOverheadMsPerUnit (the data-plane mode never changes it). The
+     * basis is explicitly per-unit — rounding happens once, in the
+     * per-unit constant — so the charge is additive across batches:
+     * charging a G-1-unit combine equals charging G-1 single units.
      */
     Tick xorChargeTicks(int units) const
     {

@@ -2,13 +2,16 @@
  * @file
  * Pooled continuation object for the array controller's I/O spine.
  *
- * Every user request, reconstruction cycle, and copyback cycle is one
- * IoOp: a slab-pooled state-machine record that carries the flow —
- * locate → stripe-lock → fork reads → XOR → writes → release — through
- * plain function-pointer continuations instead of nested lambda
- * captures. The op doubles as the stripe lock's intrusive waiter (it
- * derives StripeLockTable::Waiter), so a contended acquire links the op
- * itself into the wait list. Once the per-controller pool is warm, a
+ * Every user request (hedged reads included), reconstruction cycle,
+ * scrub cycle, and copyback cycle is one IoOp: a slab-pooled
+ * state-machine record that carries the flow — locate → stripe-lock →
+ * fork reads → XOR → writes → release — through plain function-pointer
+ * continuations instead of nested lambda captures. The op doubles as
+ * the stripe lock's intrusive waiter (it derives
+ * StripeLockTable::Waiter), so a contended acquire links the op itself
+ * into the wait list. Flows that rebuild a unit from its stripe's
+ * survivors share one regeneration subflow, parameterized by the
+ * op's RegenFlow table. Once the per-controller pool is warm, a
  * steady-state user I/O performs no heap allocation at all (the
  * allocation-guard test in tests/test_alloc_guard.cpp enforces this).
  *
@@ -16,7 +19,9 @@
  * released exactly once when its flow ends. A multi-unit request uses
  * one parent op (holding the user's `done` and the part fan-in count)
  * plus one part op per stripe-level sub-operation; parts signal the
- * parent and are released independently. Ops are thread-confined, like
+ * parent and are released independently. A hedged read's op can outlive
+ * its user completion: its deadline timer and hedge chain each hold it
+ * (IoOp::hedgeHolds) until they unwind. Ops are thread-confined, like
  * the SlabPool underneath.
  */
 #pragma once
@@ -38,8 +43,10 @@
 namespace declust {
 
 class ArrayController;
+struct RegenFlow;
 
-/** One in-flight controller operation (user part, recon/copyback cycle). */
+/** One in-flight controller operation (user part; recon, scrub or
+ * copyback cycle). */
 struct IoOp : StripeLockTable::Waiter
 {
     ArrayController *ctl = nullptr;
@@ -55,6 +62,11 @@ struct IoOp : StripeLockTable::Waiter
     Tick start = 0;
     /** Scratch timestamp: lock-wait start, then write-phase start. */
     Tick mid = 0;
+    /** Step to run once the stripe lock is held (see IoSteps::lockThen). */
+    void (*lockedStep)(IoOp *) = nullptr;
+    /** The survivor-regeneration flow this op runs, if any (see
+     * RegenFlow in controller.cpp). */
+    const RegenFlow *regen = nullptr;
     /** Logical target unit and its layout placements. */
     StripeUnit su;
     PhysicalUnit data;
@@ -87,8 +99,8 @@ struct IoOp : StripeLockTable::Waiter
     std::uint8_t hedgeFlags = 0;
     /** User completion (small captures stay inline in std::function). */
     std::function<void()> done;
+    /** Cycle completion (reconstruction, scrub and copyback cycles). */
     std::function<void(CycleResult)> cycleDone;
-    std::function<void(bool)> copyDone;
 };
 
 /** Slab-backed pool of IoOps; steady state never touches the heap. */

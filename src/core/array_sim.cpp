@@ -1,6 +1,7 @@
 #include "core/array_sim.hpp"
 
 #include "array/controller.hpp"
+#include "array/types.hpp"
 #include "core/health_monitor.hpp"
 #include "core/reconstructor.hpp"
 #include "core/scrubber.hpp"
@@ -320,10 +321,11 @@ ArraySimulation::copyback()
                 controller_->layout().invert(remapDisk, offset);
             if (!su || su->pos >= controller_->layout().stripeWidth())
                 continue; // unmapped or spare: nothing to copy
-            controller_->copybackOffset(offset, [sweep, &run](bool c) {
-                sweep->copied += c;
-                run();
-            });
+            controller_->copybackOffset(
+                offset, [sweep, &run](CycleResult r) {
+                    sweep->copied += !r.skipped;
+                    run();
+                });
             return;
         }
     };

@@ -274,6 +274,10 @@ perfTls()
     (declust::perfTls().counters[static_cast<std::size_t>(                 \
         declust::PerfCounter::counter)] +=                                 \
      static_cast<std::uint64_t>(n))
+/** Increment the counter named by a PerfCounter value chosen at run
+ * time (table-driven sites). */
+#define DECLUST_PERF_INC_ID(id)                                            \
+    (++declust::perfTls().counters[static_cast<std::size_t>(id)])
 #define DECLUST_PERF_HIST(hist, value)                                     \
     (declust::perfTls()                                                    \
          .hists[static_cast<std::size_t>(declust::PerfHist::hist)]         \
@@ -283,6 +287,7 @@ perfTls()
 
 #define DECLUST_PERF_INC(counter) ((void)0)
 #define DECLUST_PERF_ADD(counter, n) ((void)0)
+#define DECLUST_PERF_INC_ID(id) ((void)0)
 #define DECLUST_PERF_HIST(hist, value) ((void)0)
 
 #endif

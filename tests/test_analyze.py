@@ -185,6 +185,21 @@ class ParserPlumbing(unittest.TestCase):
         names = {fn.name for _fir, fn, _root in reached.values()}
         self.assertEqual(names, {"root", "helper"})
 
+    def test_function_pointer_table_is_a_reference_node(self):
+        fir = builtin_parser.parse_file("src/t.cpp", (
+            'struct Hooks { void (*on)(int); };\n'
+            'void hook(int v) { sink(v); }\n'
+            'const Hooks kHooks{&hook};\n'
+            'const int kPlain{3};\n'
+            'DECLUST_HOT_PATH\n'
+            'void root() { kHooks.on(1); }\n'
+        ))
+        names = {fn.name for fn in fir.functions}
+        self.assertEqual(names, {"hook", "kHooks", "root"})
+        reached = checks.hot_closure([fir])
+        names = {fn.name for _fir, fn, _root in reached.values()}
+        self.assertEqual(names, {"root", "kHooks", "hook"})
+
 
 if __name__ == "__main__":
     unittest.main()

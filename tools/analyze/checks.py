@@ -25,8 +25,11 @@ Rule ids (one firing fixture each under tools/analyze/fixtures/):
                             distributions, unordered containers, or an
                             alias of a clock/source
   lock-discipline           a StripeLockTable acquire whose
-                            continuation closure contains no release,
-                            or a straight-line double release
+                            continuation closure contains no release
+                            (for a lock step taking its critical
+                            section as a function pointer: from each
+                            call site), or a straight-line double
+                            release
   seed-isolation            seed derivation (seed_seq, seed
                             arithmetic, the splitmix64 constants, or a
                             re-definition of the derivation helpers)
@@ -508,6 +511,16 @@ def _is_lock_recv(recv):
     return bool(recv) and bool(_LOCK_RECV.search(recv[-1]))
 
 
+def _takes_step(fn):
+    """True if ``fn`` takes a function-pointer parameter: a lock step
+    whose critical section is the step its caller passes."""
+    for types, _name in fn.params:
+        spelled = " ".join(types)
+        if "(" in spelled and "*" in spelled:
+            return True
+    return False
+
+
 def check_lock_discipline(files):
     findings = []
     index = _function_index(files)
@@ -539,6 +552,31 @@ def check_lock_discipline(files):
                     work.append(ref)
         return False
 
+    # Call sites by callee name: (caller file, caller, call line).
+    callers = {}
+    for fir in files:
+        for fn in fir.functions:
+            for stmt in iter_stmts(fn.body):
+                for c in stmt_calls(stmt):
+                    callers.setdefault(c.name, []).append(
+                        (fir, fn, c.line))
+
+    def unreleased_callers(name, seen):
+        """Call sites of ``name`` whose continuation never releases:
+        a caller that does not release itself passes the question on
+        to its own callers (a helper forwarding the step or table that
+        holds the critical section)."""
+        bad = []
+        for cfir, cfn, line in callers.get(name, ()):
+            if cfn.name in seen or chain_has_release(cfn.name):
+                continue
+            up = callers.get(cfn.name)
+            if not up:
+                bad.append((cfir, cfn, line))
+                continue
+            bad.extend(unreleased_callers(cfn.name, seen | {cfn.name}))
+        return bad
+
     for fir in files:
         for fn in fir.functions:
             if not fn.has_body:
@@ -549,7 +587,20 @@ def check_lock_discipline(files):
                     if c.name in ("acquire", "tryAcquire") and \
                             _is_lock_recv(c.recv):
                         acquires.append(c)
-            if acquires and not chain_has_release(fn.name):
+            if acquires and _takes_step(fn) and \
+                    not chain_has_release(fn.name):
+                # A lock step runs the critical section its caller
+                # passes in, so the release must be reachable from
+                # each call site instead.
+                for cfir, cfn, line in unreleased_callers(
+                        fn.name, {fn.name}):
+                    findings.append(Finding(
+                        cfir.rel, line, "lock-discipline",
+                        "'%s' enters lock step '%s' but its "
+                        "continuation chain contains no release — the "
+                        "critical section can never end"
+                        % (cfn.qual, fn.qual)))
+            elif acquires and not chain_has_release(fn.name):
                 for c in acquires:
                     findings.append(Finding(
                         fir.rel, c.line, "lock-discipline",

@@ -1,6 +1,8 @@
 // Fixture: stripe-lock discipline violations — an acquire whose
 // continuation chain contains no release (the critical section can
-// never end), and a straight-line double release.
+// never end), the same fault behind a lock step (the release must be
+// reachable from the step's call site), and a straight-line double
+// release.
 // EXPECT-ANALYZE: lock-discipline
 
 namespace fixture {
@@ -15,6 +17,24 @@ void
 pinStripeForever(StripeLockTable &locks, long stripe)
 {
     locks.acquire(stripe);
+}
+
+void
+lockStep(StripeLockTable &locks, long stripe, void (*step)(long))
+{
+    if (locks.acquire(stripe))
+        step(stripe);
+}
+
+void
+spinForever(long)
+{
+}
+
+void
+enterForever(StripeLockTable &locks, long stripe)
+{
+    lockStep(locks, stripe, &spinForever); // EXPECT-ANALYZE: lock-discipline
 }
 
 void

@@ -31,7 +31,9 @@ class Stmt:
 
 @dataclass
 class FunctionIR:
-    """One function definition (or bodiless declaration)."""
+    """One function definition (or bodiless declaration). A namespace-
+    scope table of function pointers is recorded the same way, with its
+    initializer as the body (see parser._Parser._record_table)."""
     name: str                 # unqualified name ('read', 'grow', ...)
     qual: str                 # scope-qualified ('ArrayController::read')
     line: int

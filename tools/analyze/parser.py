@@ -359,8 +359,10 @@ class _Parser:
                 break
             if tt == "{":
                 # Brace-init member/var: skip it, then the ';'.
-                j = _match_forward(toks, j, end)
-                return _skip_to_semi(toks, j, end), pending_hot
+                close = _match_forward(toks, j, end)
+                if not in_class:
+                    self._record_table(i, j, close, scope)
+                return _skip_to_semi(toks, close, end), pending_hot
             if tt in (";",):
                 return j + 1, pending_hot
             if tt == "=":
@@ -519,6 +521,24 @@ class _Parser:
                 start = j + 1
             j += 1
         return params
+
+    def _record_table(self, lo, brace, close, scope):
+        """Keep a brace-initialized variable whose initializer takes a
+        function's address (`&fn`) as a table node: continuation tables
+        of function pointers are reference-graph edges, just like a
+        `&fn` handoff inside a function body."""
+        toks = self.tokens
+        init = toks[brace + 1:close - 1]
+        if not any(t.text == "&" and k + 1 < len(init) and
+                   init[k + 1].kind == "id" for k, t in enumerate(init)):
+            return
+        m = brace - 1
+        if m < lo or toks[m].kind != "id":
+            return
+        body = [Stmt(kind="simple", line=toks[brace].line,
+                     tokens=list(init))]
+        self._record_function(toks[m].text, self._qual_prefix(m), scope,
+                              toks[m].line, False, [], body)
 
     def _record_function(self, name, qual, scope, line, hot, params,
                          body, in_class=False):
