@@ -400,6 +400,9 @@ struct TrialResult
     std::vector<std::vector<std::string>> rows;
     std::uint64_t events = 0;
     double simSec = 0.0;
+    /** User ops still queued when its reconstructions finished
+     * (ReconOutcome::userBacklogAtEnd); summed by runShardedTrials. */
+    std::int64_t userBacklog = 0;
 };
 
 /** One independent sweep point. Must not share mutable state. */
@@ -422,6 +425,7 @@ struct SweepOutcome
     double wallSec = 0.0;
     std::uint64_t events = 0;
     double simSec = 0.0;
+    std::int64_t userBacklog = 0;
     /** Wall-clock spent in shard index s, summed across trials. The
      * max entry is the sweep's critical path under perfect overlap. */
     std::vector<double> shardWallSec;
@@ -531,6 +535,7 @@ runShardedTrials(const Options &opts, const std::string &benchName,
             table.addRow(std::move(row));
         out.events += result.events;
         out.simSec += result.simSec;
+        out.userBacklog += result.userBacklog;
     }
     return out;
 }

@@ -1533,8 +1533,11 @@ ArrayController::ArrayController(EventQueue &eq,
     // each disk contributes a handful of in-flight events (completion,
     // scheduler hand-off, track-buffer timer) and the workload/recon
     // layers keep a bounded backlog on top. Over-estimating costs a few
-    // kilobytes; under-estimating only costs growth reallocations that
-    // the alloc-guard test would surface.
+    // kilobytes, and for the calendar queue also sets the smallest ring
+    // it will shrink to (the floor keeps a queue that drains between
+    // sparse arrivals from resizing on every drain and refill);
+    // under-estimating only costs growth reallocations that the
+    // alloc-guard test would surface.
     eq_.reserve(static_cast<std::size_t>(layout_->numDisks()) * 16 + 128);
     for (int d = 0; d < layout_->numDisks(); ++d) {
         auto background =

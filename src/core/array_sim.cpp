@@ -365,6 +365,7 @@ ArraySimulation::runReconstruction()
     outcome.report = recon.report();
     outcome.userDuringRecon = collectPhase();
     outcome.totalRepairSec = outcome.report.reconstructionTimeSec;
+    outcome.userBacklogAtEnd = controller_->outstandingUserOps();
     return outcome;
 }
 

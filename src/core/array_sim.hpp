@@ -165,6 +165,10 @@ struct ReconOutcome
     /** Replacement delay + reconstruction time: the repair window that
      * enters the MTTDL computation. */
     double totalRepairSec = 0.0;
+    /** User ops still outstanding when reconstruction finished. A few
+     * are in flight on any busy array; hundreds mean the offered load
+     * exceeded what the array could serve. */
+    std::int64_t userBacklogAtEnd = 0;
 };
 
 /** One simulated array with phase orchestration. */

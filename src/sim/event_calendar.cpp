@@ -64,12 +64,13 @@ CalendarEventQueue::ensureInit(Tick anchor)
 {
     if (count_ != 0)
         return; // live calendar: leave it anchored where it is
-    if (nbuckets_ == 0 || reservedBuckets_ > nbuckets_) {
-        nbuckets_ =
-            reservedBuckets_ > kMinBuckets ? reservedBuckets_ : kMinBuckets;
+    if (nbuckets_ == 0) {
+        // First use of a queue nobody reserve()d: the ring starts at its
+        // floor. After this, only counted resizes change its size.
+        nbuckets_ = floorBuckets_;
         DECLUST_ANALYZE_SUPPRESS(
-            "hot-path-growth: empty-queue (re)init; the ring's capacity is "
-            "reserved at bring-up and then retained");
+            "hot-path-growth: one-time ring allocation on a queue's first "
+            "push; reserve() makes it at bring-up instead");
         buckets_.assign(nbuckets_, Bucket{});
     }
     widthShift_ = targetWidthShift();
@@ -254,7 +255,10 @@ CalendarEventQueue::maybeGrow(Tick now)
 void
 CalendarEventQueue::maybeShrink(Tick now)
 {
-    if (nbuckets_ <= kMinBuckets || count_ >= nbuckets_ / 2)
+    // Never below the floor: a queue that drains to empty between sparse
+    // arrivals would otherwise halve its way down on every drain and be
+    // re-grown on every refill, one full rebuild per step.
+    if (nbuckets_ <= floorBuckets_ || count_ >= nbuckets_ / 2)
         return;
     DECLUST_PERF_INC(EventQueueResizes);
     rebuild(now, nbuckets_ / 2, targetWidthShift());
@@ -353,15 +357,22 @@ CalendarEventQueue::reserve(std::size_t expected)
         target = kMinBuckets;
     if (target > kMaxBuckets)
         target = kMaxBuckets;
-    if (target > reservedBuckets_) {
-        reservedBuckets_ = target;
+    if (target <= floorBuckets_)
+        return;
+    floorBuckets_ = target;
+    if (nbuckets_ == 0) {
+        // Bring-up, before the first push: allocate the ring at its floor
+        // now; the first push only anchors it.
+        nbuckets_ = floorBuckets_;
         DECLUST_ANALYZE_SUPPRESS(
             "hot-path-growth: bring-up pre-size");
-        buckets_.reserve(reservedBuckets_);
+        buckets_.assign(nbuckets_, Bucket{});
+    } else if (nbuckets_ < floorBuckets_) {
+        // A live ring below the new floor grows like any resize.
+        // calendarStart_ <= every pending tick, so it is a valid anchor.
+        DECLUST_PERF_INC(EventQueueResizes);
+        rebuild(calendarStart_, floorBuckets_, widthShift_);
     }
-    // The logical ring picks the hint up on the next empty-queue init
-    // (ensureInit); reserve() is a bring-up call, so that is the very
-    // next push.
 }
 
 #if DECLUST_VALIDATE

@@ -21,7 +21,11 @@
  * redistributes whatever fits. Bucket width self-tunes from the
  * observed inter-dispatch gap, and the bucket count resizes on
  * population doubling/halving — both rebuilds are deterministic
- * functions of queue state, so replays stay bit-identical.
+ * functions of queue state, so replays stay bit-identical. The ring
+ * never shrinks below its floor: kMinBuckets, or the size reserve()
+ * asked for. A queue that drains to empty between sparse arrivals (a
+ * cluster array's) would otherwise walk its ring down by halvings on
+ * every drain and back up on every refill.
  *
  * Nodes are recycled through an internal slab free list (per queue, not
  * thread-local: each simulation owns its queue outright), so steady
@@ -31,11 +35,11 @@
  * only stores and orders entries.
  *
  * DECLUST_PERF_COUNTERS instrumentation: `event_queue_spills` (pushes
- * that landed in overflow), `event_queue_resizes` (bucket-count
- * changes), `event_queue_rebuilds` (all redistributions, including
- * year re-anchors), plus histograms `event_bucket_scan_steps` (buckets
- * scanned per dispatch) and `event_bucket_occupancy` (list lengths
- * sampled at every rebuild).
+ * that landed in overflow), `event_queue_resizes` (every bucket-count
+ * change after the ring is first sized), `event_queue_rebuilds` (all
+ * redistributions, including year re-anchors), plus histograms
+ * `event_bucket_scan_steps` (buckets scanned per dispatch) and
+ * `event_bucket_occupancy` (list lengths sampled at every rebuild).
  */
 #pragma once
 
@@ -83,10 +87,9 @@ class CalendarEventQueue
 
     /**
      * Pre-size for @p expected pending events: carve enough slab nodes
-     * and reserve the bucket ring so a run that stays at or below this
-     * population never allocates after bring-up. The bucket-count hint
-     * is applied on the next (re)initialization, so call this while the
-     * queue is empty — array bring-up does.
+     * and size the bucket ring so a run that stays at or below this
+     * population never allocates after bring-up. The ring size becomes
+     * the ring's floor, which population shrinks never cross.
      */
     void reserve(std::size_t expected);
 
@@ -233,8 +236,9 @@ class CalendarEventQueue
     /** Steps the most recent sorted bucket insert walked. */
     std::size_t lastLinkWalk_ = 0;
 
-    /** Bucket-ring size hint from reserve(), applied at (re)init. */
-    std::size_t reservedBuckets_ = 0;
+    /** Smallest ring maybeShrink() leaves: kMinBuckets, raised by
+     * reserve(). */
+    std::size_t floorBuckets_ = kMinBuckets;
 };
 
 } // namespace declust

@@ -19,6 +19,7 @@
 #include "cluster/runner.hpp"
 #include "cluster/topology.hpp"
 #include "sim/event_queue.hpp"
+#include "stats/perf_counters.hpp"
 #include "util/error.hpp"
 
 namespace declust {
@@ -127,6 +128,28 @@ TEST(Cluster, RollingRebuildsCompleteAndAreCounted)
     EXPECT_GT(res.counters.redirectsIn, 0u);
     // And the cluster kept serving the whole time.
     EXPECT_GT(res.phase.reads + res.phase.writes, 0u);
+}
+
+TEST(Cluster, ArrayQueuesNeverResizeTheirRings)
+{
+    // Each array's calendar queue drains to empty between sparse
+    // arrivals. Its reserved ring is the floor, so serving and two
+    // rolling rebuilds run without a single ring resize.
+    const EventQueue::Impl saved = EventQueue::defaultImpl();
+    EventQueue::setDefaultImpl(EventQueue::Impl::Calendar);
+    perfReset();
+    ClusterConfig cfg = smallCluster();
+    cfg.arrays = 8;
+    ClusterRunner runner(cfg, 2);
+    scheduleRollingRebuilds(runner, 2, 1.0, 0.5);
+    const ClusterResult res = runner.run(1.0, 4.0);
+    const PerfCounterBlock perf = perfAggregate();
+    EventQueue::setDefaultImpl(saved);
+
+    EXPECT_GT(res.events, 0u);
+    EXPECT_EQ(perf.counters[static_cast<std::size_t>(
+                  PerfCounter::EventQueueResizes)],
+              0u);
 }
 
 TEST(Cluster, MeasuredWindowRoundsUpToWholeEpochs)

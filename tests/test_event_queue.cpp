@@ -12,7 +12,7 @@
  * interleaved pops and horizon runs) and assert the streams never
  * diverge, plus cover the calendar's own machinery: bucket resizing,
  * overflow re-anchoring, the insert-behind-the-year rebuild, and
- * reserve() pre-sizing.
+ * reserve() pre-sizing and the ring floor it sets.
  */
 #include <gtest/gtest.h>
 
@@ -329,10 +329,73 @@ TEST(CalendarQueue, ReservePreSizesNodesAndBuckets)
     CalendarEventQueue q;
     q.reserve(1000);
     EXPECT_GE(q.nodeCapacity(), std::size_t{1000});
-    // The bucket-ring hint is applied at first use.
+    // The ring is sized by reserve() itself, before any push.
+    EXPECT_EQ(q.bucketCount(), std::size_t{512});
     q.push(0, entryAt(1, 0));
-    EXPECT_GE(q.bucketCount(), std::size_t{256});
+    EXPECT_EQ(q.bucketCount(), std::size_t{512});
     EXPECT_EQ(q.popTop(0).seq, 0u);
+    // A later, larger reserve grows the ring in use to its new floor.
+    q.push(1, entryAt(7, 1));
+    q.reserve(4000);
+    EXPECT_EQ(q.bucketCount(), std::size_t{2048});
+    EXPECT_EQ(q.popTop(1).seq, 1u);
+    EXPECT_EQ(q.bucketCount(), std::size_t{2048});
+}
+
+TEST(CalendarQueue, ReservedRingSurvivesEmptyRefillCycles)
+{
+    // A cluster array's queue: reserved at bring-up, then drained to
+    // empty between sparse arrivals. The reserved ring is the floor, so
+    // neither the drains (shrink) nor the refills (re-init) resize it.
+    CalendarEventQueue q;
+    q.reserve(464);
+    ASSERT_EQ(q.bucketCount(), std::size_t{256});
+    Rng rng(0x0f1);
+    std::uint64_t seq = 0;
+    Tick now = 0;
+    for (int cycle = 0; cycle < 1000; ++cycle) {
+        const int events = 1 + static_cast<int>(rng.uniformInt(5));
+        for (int i = 0; i < events; ++i) {
+            const Tick when = now + 1 + rng.uniformInt(1u << 16);
+            q.push(now, entryAt(when, seq++));
+            ASSERT_EQ(q.bucketCount(), std::size_t{256})
+                << "cycle " << cycle;
+        }
+        while (!q.empty()) {
+            now = q.popTop(now).when;
+            ASSERT_EQ(q.bucketCount(), std::size_t{256})
+                << "cycle " << cycle;
+        }
+    }
+}
+
+TEST(CalendarQueue, GrownRingShrinksBackToReserveNotBelow)
+{
+    CalendarEventQueue q;
+    q.reserve(464);
+    Rng rng(0x5e7);
+    std::uint64_t seq = 0;
+    for (; seq < 3000; ++seq)
+        q.push(0, entryAt(1 + rng.uniformInt(1u << 20), seq));
+    // 3000 events past a 256-bucket reserve: grown to 2048.
+    EXPECT_EQ(q.bucketCount(), std::size_t{2048});
+
+    Tick now = 0;
+    std::size_t smallest = q.bucketCount();
+    while (!q.empty()) {
+        now = q.popTop(now).when;
+        smallest = std::min(smallest, q.bucketCount());
+    }
+    EXPECT_EQ(q.bucketCount(), std::size_t{256});
+    EXPECT_EQ(smallest, std::size_t{256});
+
+    // Refilled and drained again, the ring stays at the reserve.
+    for (int i = 0; i < 4; ++i)
+        q.push(now, entryAt(now + 10 + i, seq++));
+    while (!q.empty()) {
+        now = q.popTop(now).when;
+        EXPECT_EQ(q.bucketCount(), std::size_t{256});
+    }
 }
 
 TEST(CalendarQueue, SameTickBurstsStayFifoThroughResizes)

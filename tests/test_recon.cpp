@@ -2,7 +2,8 @@
  * @file
  * Tests for the reconstruction engine: sweep completion under all four
  * algorithms, single vs. parallel processes, throttling, skip
- * accounting, and tail-window statistics.
+ * accounting, tail-window statistics, and the user backlog left when
+ * a rebuild ends.
  */
 #include <gtest/gtest.h>
 
@@ -78,6 +79,23 @@ TEST(Reconstructor, ParallelFasterThanSingle)
     const double single = run(1);
     const double parallel = run(8);
     EXPECT_LT(parallel, single * 0.6);
+}
+
+TEST(Reconstructor, ReportsTheUserBacklogLeftAtTheEnd)
+{
+    auto backlog = [](double rate) {
+        ArraySimulation sim(
+            smallConfig(4, ReconAlgorithm::Baseline, 1, rate));
+        sim.failAndRunDegraded(0.2, 0.2, 0);
+        return sim.reconstruct().userBacklogAtEnd;
+    };
+    // 20 req/s leaves the degraded five-disk array mostly idle: nothing
+    // is queued when the rebuild completes.
+    EXPECT_EQ(backlog(20.0), 0);
+    // 180 req/s saturates it: the queue grows through the ~200 s
+    // rebuild (which at 200 req/s would never finish) and over a
+    // hundred ops are left.
+    EXPECT_GT(backlog(180.0), 100);
 }
 
 TEST(Reconstructor, PhaseTimesPopulated)
