@@ -2,9 +2,12 @@
  * @file
  * Throughput bench for the erasure-code kernels: measured GB/s per
  * (kernel, tier, buffer size), printed as a table and emitted as the
- * BENCH_7 JSON record. The numbers price real parity math against the
- * simulator's 1 us tick: a 4 KB unit XORs in well under one tick on
- * every tier, so simulated XOR cost stays the explicit --xor-ms knob.
+ * BENCH_7 JSON record, plus the cost of one verify-mode
+ * DataPlane::checkCombine (expand every survivor's byte image, XOR,
+ * compare) in ns per call at group sizes G = 4 and 21. The numbers
+ * price real parity math against the simulator's 1 us tick: a 4 KB
+ * unit XORs in well under one tick on every tier, so simulated XOR
+ * cost stays the explicit --xor-ms knob.
  *
  *   build/bench/bench_ec_kernels --json BENCH_7.json
  *
@@ -15,8 +18,10 @@
  * cross-checked against the scalar reference before it is timed, so a
  * kernel that got fast by being wrong fails loudly here too.
  *
- * DECLUST_EC_FORCE_TIER does not restrict this bench: it measures every
- * tier the CPU supports, so one run yields the full dispatch table.
+ * DECLUST_EC_FORCE_TIER does not restrict the kernel table: it measures
+ * every tier the CPU supports, so one run yields the full dispatch
+ * table. The checkCombine row runs on the dispatched tier, which the
+ * variable does select, as it does in a simulation.
  */
 #include <chrono>
 #include <cstdint>
@@ -27,6 +32,7 @@
 #include <vector>
 
 #include "ec/buffer_pool.hpp"
+#include "ec/data_plane.hpp"
 #include "ec/gf256.hpp"
 #include "ec/kernels.hpp"
 #include "harness/json_writer.hpp"
@@ -50,7 +56,7 @@ fill(std::uint8_t *p, std::size_t n, std::uint64_t seed)
     }
 }
 
-enum class Kind { Xor, GfMul, GfMulAdd };
+enum class Kind { Xor, GfMul, GfMulAdd, Expand };
 
 const char *
 kindName(Kind k)
@@ -62,11 +68,14 @@ kindName(Kind k)
         return "gf_mul";
     case Kind::GfMulAdd:
         return "gf_mul_add";
+    case Kind::Expand:
+        return "expand";
     }
     return "?";
 }
 
-/** One kernel pass over the buffers; c is the GF coefficient. */
+/** One kernel pass over the buffers; c is the GF coefficient (and,
+ * spread over 64 bits, the value expand writes the image of). */
 void
 runKernel(const ec::Kernels &k, Kind kind, std::uint8_t *dst,
           const std::uint8_t *src, std::uint8_t c, std::size_t n)
@@ -80,6 +89,10 @@ runKernel(const ec::Kernels &k, Kind kind, std::uint8_t *dst,
         break;
     case Kind::GfMulAdd:
         k.gfMulAdd(dst, src, c, n);
+        break;
+    case Kind::Expand:
+        k.expand(dst, (0x0101010101010101ull * c) ^ 0x9e3779b97f4a7c15ull,
+                 n);
         break;
     }
 }
@@ -103,20 +116,16 @@ verifyTier(const ec::Kernels &k, Kind kind, std::size_t n)
     }
 }
 
-/** Measured throughput of one (kernel, tier, size) cell, GB/s. */
+/**
+ * Seconds per call of @p pass, timed until @p targetMs elapses after
+ * a short warm-up (faults the pages, primes the GF tables and caches).
+ */
+template <class Pass>
 double
-measure(const ec::Kernels &k, Kind kind, std::size_t n, double targetMs,
-        std::uint64_t *checksum)
+secondsPerPass(Pass &&pass, double targetMs)
 {
-    ec::BufferPool pool(n, 4);
-    ec::BufferLease dst(pool), src(pool);
-    fill(src.get(), n, 0x5eed);
-    fill(dst.get(), n, 0xd1ce);
-    const std::uint8_t c = 0x8e;
-
-    // Warm-up: fault the pages, prime the GF tables and caches.
     for (int i = 0; i < 8; ++i)
-        runKernel(k, kind, dst.get(), src.get(), c, n);
+        pass();
 
     using Clock = std::chrono::steady_clock;
     std::uint64_t passes = 0;
@@ -127,7 +136,7 @@ measure(const ec::Kernels &k, Kind kind, std::size_t n, double targetMs,
     const auto start = Clock::now();
     for (;;) {
         for (std::uint64_t i = 0; i < batch; ++i)
-            runKernel(k, kind, dst.get(), src.get(), c, n);
+            pass();
         passes += batch;
         sec = std::chrono::duration<double>(Clock::now() - start).count();
         if (sec * 1000.0 >= targetMs)
@@ -138,10 +147,48 @@ measure(const ec::Kernels &k, Kind kind, std::size_t n, double targetMs,
                     ? static_cast<std::uint64_t>(remaining / perPass) + 1
                     : batch * 2;
     }
+    return sec / static_cast<double>(passes);
+}
+
+/** Measured throughput of one (kernel, tier, size) cell, GB/s. */
+double
+measure(const ec::Kernels &k, Kind kind, std::size_t n, double targetMs,
+        std::uint64_t *checksum)
+{
+    ec::BufferPool pool(n, 4);
+    ec::BufferLease dst(pool), src(pool);
+    fill(src.get(), n, 0x5eed);
+    fill(dst.get(), n, 0xd1ce);
+    const std::uint8_t c = 0x8e;
+    const double perPass = secondsPerPass(
+        [&] { runKernel(k, kind, dst.get(), src.get(), c, n); }, targetMs);
     *checksum += dst.get()[n / 2];
-    const double bytes =
-        static_cast<double>(passes) * static_cast<double>(n);
-    return bytes / sec / 1e9;
+    return static_cast<double>(n) / perPass / 1e9;
+}
+
+/** Unit size the checkCombine row is priced at: the 4 KB stripe unit
+ * of the paper's array. */
+constexpr std::size_t kCombineUnitBytes = 4096;
+
+/** Cost of one verify-mode checkCombine over a G-disk stripe's G-1
+ * survivors, ns per call. */
+double
+measureCheckCombine(int g, double targetMs)
+{
+    ec::DataPlane plane(ec::DataPlaneMode::Verify, kCombineUnitBytes);
+    std::vector<std::uint64_t> vals(static_cast<std::size_t>(g - 1));
+    fill(reinterpret_cast<std::uint8_t *>(vals.data()),
+         vals.size() * sizeof(std::uint64_t), 0xc0de);
+    std::uint64_t expected = 0;
+    for (std::uint64_t v : vals)
+        expected ^= v;
+    return secondsPerPass(
+               [&] {
+                   plane.checkCombine("bench", vals.data(), g - 1,
+                                      expected);
+               },
+               targetMs) *
+           1e9;
 }
 
 } // namespace
@@ -195,7 +242,8 @@ main(int argc, char **argv)
 
     JsonObject results;
     std::uint64_t checksum = 0;
-    const Kind kinds[] = {Kind::Xor, Kind::GfMul, Kind::GfMulAdd};
+    const Kind kinds[] = {Kind::Xor, Kind::GfMul, Kind::GfMulAdd,
+                          Kind::Expand};
     for (Kind kind : kinds) {
         for (ec::Tier tier : tiers) {
             const ec::Kernels &k = ec::kernelsFor(tier);
@@ -217,10 +265,25 @@ main(int argc, char **argv)
                         std::move(perTier));
         }
     }
-    if (opts.getFlag("csv"))
+    TablePrinter combineTable({"checkCombine", "tier", "G", "ns/call"});
+    JsonObject combineNs;
+    for (int g : {4, 21}) {
+        const double ns = measureCheckCombine(g, targetMs);
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.1f", ns);
+        combineTable.addRow({std::to_string(kCombineUnitBytes) + "B",
+                             ec::tierName(ec::activeTier()),
+                             std::to_string(g), buf});
+        combineNs.set(std::to_string(g), ns);
+    }
+    if (opts.getFlag("csv")) {
         table.printCsv(std::cout);
-    else
+        combineTable.printCsv(std::cout);
+    } else {
         table.print(std::cout);
+        std::cout << "\n";
+        combineTable.print(std::cout);
+    }
 
     const std::string path = opts.getString("json");
     if (!path.empty()) {
@@ -231,7 +294,10 @@ main(int argc, char **argv)
             .set("gf_poly", static_cast<std::int64_t>(ec::kGfPoly))
             .set("target_ms", targetMs)
             .set("checksum", checksum)
-            .set("gbps", std::move(results));
+            .set("gbps", std::move(results))
+            .set("check_combine_unit_bytes",
+                 static_cast<std::int64_t>(kCombineUnitBytes))
+            .set("check_combine_ns", std::move(combineNs));
         std::ofstream file(path);
         if (!file) {
             std::cerr << "bench_ec_kernels: cannot write " << path

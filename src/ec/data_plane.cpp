@@ -1,7 +1,6 @@
 #include "ec/data_plane.hpp"
 
 #include <atomic>
-#include <bit>
 #include <cstring>
 
 #include "ec/buffer_pool.hpp"
@@ -13,10 +12,6 @@ namespace declust::ec {
 namespace {
 
 std::atomic<DataPlaneMode> g_defaultMode{DataPlaneMode::Off};
-
-/** Rotation stride per 64-bit word of the expansion; coprime to 64 so
- * the 64 word rotations cycle through distinct alignments. */
-constexpr unsigned kRotStride = 29;
 
 } // namespace
 
@@ -68,12 +63,7 @@ DataPlane::DataPlane(DataPlaneMode mode, std::size_t unitBytes)
 void
 DataPlane::expandInto(std::uint8_t *dst, std::uint64_t v) const
 {
-    const std::size_t words = unitBytes_ / 8;
-    for (std::size_t i = 0; i < words; ++i) {
-        const std::uint64_t w =
-            std::rotl(v, static_cast<int>((i * kRotStride) & 63));
-        std::memcpy(dst + i * 8, &w, 8);
-    }
+    kernels_.expand(dst, v, unitBytes_);
 }
 
 void

@@ -18,6 +18,14 @@
  * word, so a kernel bug that garbles lanes, misses a tail, or swaps
  * operand halves cannot cancel out.
  *
+ * The rotation repeats every 64 words, so the image is one 512-byte
+ * period laid end to end, the last copy cut short when the unit is not
+ * a multiple of 512 bytes. Expansion is a dispatched
+ * kernel (Kernels::expand): the SIMD tiers build the period once in
+ * vector registers and replicate it, while the scalar tier evaluates
+ * the formula above word by word and is the oracle the equivalence
+ * tests hold every tier to.
+ *
  * Modes (DataPlaneMode): Off — no buffers touched, byte-identical to
  * the pre-data-plane goldens; Verify — every combine site XORs real
  * pooled buffers through the dispatched SIMD kernels and cross-checks
@@ -97,7 +105,8 @@ class DataPlane
     void checkCombine(const char *site, const std::uint64_t *vals,
                       int count, std::uint64_t expected);
 
-    /** Write the byte expansion of @p v into @p dst (unitBytes long). */
+    /** Write the byte expansion of @p v into @p dst (unitBytes long)
+     * with the dispatched expand kernel. */
     DECLUST_HOT_PATH
     void expandInto(std::uint8_t *dst, std::uint64_t v) const;
 

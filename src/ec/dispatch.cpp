@@ -53,15 +53,17 @@ cpuFeatures()
 }
 
 const Kernels kTierTables[kTierCount] = {
-    {&xorIntoScalar, &gfMulScalar, &gfMulAddScalar, Tier::Scalar},
+    {&xorIntoScalar, &gfMulScalar, &gfMulAddScalar, &expandScalar,
+     Tier::Scalar},
 #if defined(__x86_64__) || defined(__i386__)
-    {&xorIntoSse2, &gfMulSse2, &gfMulAddSse2, Tier::Sse2},
-    {&xorIntoAvx2, &gfMulAvx2, &gfMulAddAvx2, Tier::Avx2},
-    {&xorIntoAvx512, &gfMulAvx512, &gfMulAddAvx512, Tier::Avx512},
+    {&xorIntoSse2, &gfMulSse2, &gfMulAddSse2, &expandSse2, Tier::Sse2},
+    {&xorIntoAvx2, &gfMulAvx2, &gfMulAddAvx2, &expandAvx2, Tier::Avx2},
+    {&xorIntoAvx512, &gfMulAvx512, &gfMulAddAvx512, &expandAvx512,
+     Tier::Avx512},
 #else
-    {nullptr, nullptr, nullptr, Tier::Sse2},
-    {nullptr, nullptr, nullptr, Tier::Avx2},
-    {nullptr, nullptr, nullptr, Tier::Avx512},
+    {nullptr, nullptr, nullptr, nullptr, Tier::Sse2},
+    {nullptr, nullptr, nullptr, nullptr, Tier::Avx2},
+    {nullptr, nullptr, nullptr, nullptr, Tier::Avx512},
 #endif
 };
 

@@ -24,6 +24,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -47,6 +48,28 @@ const char *tierName(Tier tier);
 /** Parse a tier name; false on an unknown spelling. */
 bool tierFromName(const std::string &name, Tier *out);
 
+/** @{ Byte-image expansion (see data_plane.hpp): word i of the image
+ * of a 64-bit value v is rotl64(v, expandRotation(i)). The stride 29
+ * is coprime to 64, so the rotation visits all 64 alignments and
+ * repeats every kExpandPeriodWords words (512 bytes) — the SIMD tiers
+ * build that period once and replicate it across the unit. */
+inline constexpr std::size_t kExpandPeriodWords = 64;
+constexpr int
+expandRotation(std::size_t word)
+{
+    return static_cast<int>((word * 29) & 63);
+}
+/** expandRotation over one period, as 64-bit lanes for the vector
+ * rotate/shift-count operands. */
+inline constexpr std::array<std::uint64_t, kExpandPeriodWords>
+    kExpandRotations = [] {
+        std::array<std::uint64_t, kExpandPeriodWords> r{};
+        for (std::size_t i = 0; i < r.size(); ++i)
+            r[i] = static_cast<std::uint64_t>(expandRotation(i));
+        return r;
+    }();
+/** @} */
+
 /**
  * One tier's kernel set. Plain function pointers (no virtual dispatch):
  * the table is resolved once and the per-call cost is one indirect
@@ -64,6 +87,10 @@ struct Kernels
      * Reed-Solomon / RAID 6 encode loop is built from). */
     void (*gfMulAdd)(std::uint8_t *dst, const std::uint8_t *src,
                      std::uint8_t c, std::size_t n);
+    /** dst = the byte image of @p v over @p n bytes: the 64-bit words
+     * rotl64(v, expandRotation(i)) in native byte order, the last one
+     * cut short when n is not a multiple of 8. */
+    void (*expand)(std::uint8_t *dst, std::uint64_t v, std::size_t n);
     Tier tier;
 };
 
@@ -103,6 +130,7 @@ void gfMulScalar(std::uint8_t *dst, const std::uint8_t *src,
                  std::uint8_t c, std::size_t n);
 void gfMulAddScalar(std::uint8_t *dst, const std::uint8_t *src,
                     std::uint8_t c, std::size_t n);
+void expandScalar(std::uint8_t *dst, std::uint64_t v, std::size_t n);
 #if defined(__x86_64__) || defined(__i386__)
 void xorIntoSse2(std::uint8_t *dst, const std::uint8_t *src,
                  std::size_t n);
@@ -110,18 +138,21 @@ void gfMulSse2(std::uint8_t *dst, const std::uint8_t *src,
                std::uint8_t c, std::size_t n);
 void gfMulAddSse2(std::uint8_t *dst, const std::uint8_t *src,
                   std::uint8_t c, std::size_t n);
+void expandSse2(std::uint8_t *dst, std::uint64_t v, std::size_t n);
 void xorIntoAvx2(std::uint8_t *dst, const std::uint8_t *src,
                  std::size_t n);
 void gfMulAvx2(std::uint8_t *dst, const std::uint8_t *src,
                std::uint8_t c, std::size_t n);
 void gfMulAddAvx2(std::uint8_t *dst, const std::uint8_t *src,
                   std::uint8_t c, std::size_t n);
+void expandAvx2(std::uint8_t *dst, std::uint64_t v, std::size_t n);
 void xorIntoAvx512(std::uint8_t *dst, const std::uint8_t *src,
                    std::size_t n);
 void gfMulAvx512(std::uint8_t *dst, const std::uint8_t *src,
                  std::uint8_t c, std::size_t n);
 void gfMulAddAvx512(std::uint8_t *dst, const std::uint8_t *src,
                     std::uint8_t c, std::size_t n);
+void expandAvx512(std::uint8_t *dst, std::uint64_t v, std::size_t n);
 #endif
 /** @} */
 

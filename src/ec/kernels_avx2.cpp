@@ -2,7 +2,8 @@
  * @file
  * 256-bit AVX2 kernels. VPSHUFB shuffles within each 128-bit lane, so
  * the GF tables are broadcast to both lanes and the split-table step is
- * identical to the SSE2 one at twice the width.
+ * identical to the SSE2 one at twice the width. expand builds the
+ * 512-byte period in 16 registers with the VPSLLVQ/VPSRLVQ shift pair.
  *
  * Compiled with -mavx2 (see src/ec/CMakeLists.txt); selected by
  * dispatch.cpp only when the CPU reports avx2.
@@ -11,6 +12,8 @@
 
 #include "ec/gf256.hpp"
 #include "ec/kernels.hpp"
+
+#include <cstring>
 
 #include <immintrin.h>
 
@@ -104,6 +107,34 @@ gfMulAddAvx2(std::uint8_t *dst, const std::uint8_t *src, std::uint8_t c,
     const std::uint8_t *row = t.mul[c];
     for (; i < n; ++i)
         dst[i] ^= row[src[i]];
+}
+
+void
+expandAvx2(std::uint8_t *dst, std::uint64_t v, std::size_t n)
+{
+    constexpr std::size_t kRegs = kExpandPeriodWords / 4;
+    const __m256i vv = _mm256_set1_epi64x(static_cast<long long>(v));
+    const __m256i width = _mm256_set1_epi64x(64);
+    __m256i period[kRegs];
+    for (std::size_t r = 0; r < kRegs; ++r) {
+        // rotl(v, s) = v << s | v >> (64 - s); VPSRLVQ by 64 yields 0,
+        // so s == 0 needs no special case.
+        const __m256i s = _mm256_loadu_si256(
+            (const __m256i *)(kExpandRotations.data() + 4 * r));
+        period[r] = _mm256_or_si256(
+            _mm256_sllv_epi64(vv, s),
+            _mm256_srlv_epi64(vv, _mm256_sub_epi64(width, s)));
+    }
+    std::size_t i = 0;
+    for (; i + sizeof period <= n; i += sizeof period) {
+        for (std::size_t r = 0; r < kRegs; ++r)
+            _mm256_storeu_si256((__m256i *)(dst + i + 32 * r), period[r]);
+    }
+    std::size_t r = 0;
+    for (; i + 32 <= n; i += 32, ++r)
+        _mm256_storeu_si256((__m256i *)(dst + i), period[r]);
+    if (i < n)
+        std::memcpy(dst + i, &period[r], n - i);
 }
 
 } // namespace declust::ec

@@ -2,6 +2,8 @@
  * @file
  * 512-bit AVX-512 kernels. Requires F (loads, ternlog XOR) and BW (the
  * 512-bit VPSHUFB); dispatch.cpp checks both before selecting the tier.
+ * expand builds the 512-byte period in 8 registers with VPROLVQ and
+ * stores the tail through a byte mask (BW).
  *
  * Compiled with -mavx512f -mavx512bw (see src/ec/CMakeLists.txt).
  */
@@ -93,6 +95,30 @@ gfMulAddAvx512(std::uint8_t *dst, const std::uint8_t *src, std::uint8_t c,
     const std::uint8_t *row = t.mul[c];
     for (; i < n; ++i)
         dst[i] ^= row[src[i]];
+}
+
+void
+expandAvx512(std::uint8_t *dst, std::uint64_t v, std::size_t n)
+{
+    constexpr std::size_t kRegs = kExpandPeriodWords / 8;
+    const __m512i vv = _mm512_set1_epi64(static_cast<long long>(v));
+    __m512i period[kRegs];
+    // The all-lanes maskz form is a plain VPROLVQ; gcc 12's unmasked
+    // _mm512_rolv_epi64 trips -Wuninitialized inside its own header.
+    for (std::size_t r = 0; r < kRegs; ++r)
+        period[r] = _mm512_maskz_rolv_epi64(
+            0xff, vv, _mm512_loadu_si512(kExpandRotations.data() + 8 * r));
+    std::size_t i = 0;
+    for (; i + sizeof period <= n; i += sizeof period) {
+        for (std::size_t r = 0; r < kRegs; ++r)
+            _mm512_storeu_si512(dst + i + 64 * r, period[r]);
+    }
+    std::size_t r = 0;
+    for (; i + 64 <= n; i += 64, ++r)
+        _mm512_storeu_si512(dst + i, period[r]);
+    if (i < n)
+        _mm512_mask_storeu_epi8(
+            dst + i, _cvtu64_mask64((1ull << (n - i)) - 1), period[r]);
 }
 
 } // namespace declust::ec

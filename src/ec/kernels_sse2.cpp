@@ -7,11 +7,20 @@
  * kernels implement the jerasure/ISA-L split-table technique: PSHUFB
  * looks up the product of the coefficient with each byte's low and high
  * nibble in two 16-entry tables and XORs the halves.
+ *
+ * SSE2 has no per-lane variable 64-bit rotate, and a loop over
+ * expandRotation(i) vectorizes into an emulated one that is no faster
+ * than the scalar formula; so expand unrolls the 512-byte period into
+ * 64 rotates by constants, then replicates it with 16-byte stores.
  */
 #if defined(__x86_64__) || defined(__i386__)
 
 #include "ec/gf256.hpp"
 #include "ec/kernels.hpp"
+
+#include <bit>
+#include <cstring>
+#include <utility>
 
 #include <emmintrin.h>
 #include <tmmintrin.h>
@@ -96,6 +105,42 @@ gfMulAddSse2(std::uint8_t *dst, const std::uint8_t *src, std::uint8_t c,
     const std::uint8_t *row = t.mul[c];
     for (; i < n; ++i)
         dst[i] ^= row[src[i]];
+}
+
+namespace {
+
+template <std::size_t... I>
+inline void
+expandPeriod(std::uint64_t *period, std::uint64_t v,
+             std::index_sequence<I...>)
+{
+    ((period[I] = std::rotl(v, expandRotation(I))), ...);
+}
+
+} // namespace
+
+void
+expandSse2(std::uint8_t *dst, std::uint64_t v, std::size_t n)
+{
+    alignas(16) std::uint64_t period[kExpandPeriodWords];
+    expandPeriod(period, v, std::make_index_sequence<kExpandPeriodWords>{});
+    const auto *src = reinterpret_cast<const std::uint8_t *>(period);
+    const std::size_t whole = n - n % sizeof period;
+    // Each half-period is loaded into the 16 xmm registers once and
+    // stored at every period offset; a plain load/store copy loop is
+    // turned into an inline rep movs by gcc.
+    constexpr std::size_t kRegs = 16;
+    for (std::size_t h = 0; h < sizeof period; h += kRegs * 16) {
+        __m128i half[kRegs];
+        for (std::size_t k = 0; k < kRegs; ++k)
+            half[k] = _mm_load_si128((const __m128i *)(src + h + 16 * k));
+        for (std::size_t i = h; i < whole; i += sizeof period) {
+            for (std::size_t k = 0; k < kRegs; ++k)
+                _mm_storeu_si128((__m128i *)(dst + i + 16 * k), half[k]);
+        }
+    }
+    if (whole < n)
+        std::memcpy(dst + whole, src, n - whole);
 }
 
 } // namespace declust::ec

@@ -23,74 +23,88 @@ namespace declust {
 namespace {
 
 constexpr std::size_t kUnit = 4096;
+/** The byte image repeats every 512 bytes; 4104 adds one word past
+ * the last whole period, so each check also covers the period tail. */
+constexpr std::size_t kUnitSizes[] = {kUnit, 4104};
 
 std::vector<std::uint8_t>
 expand(const ec::DataPlane &plane, std::uint64_t v)
 {
-    std::vector<std::uint8_t> out(plane.unitBytes());
+    // Not zero-filled: a byte the kernel leaves unwritten would keep
+    // 0xa5 and break the linearity check below.
+    std::vector<std::uint8_t> out(plane.unitBytes(), 0xa5);
     plane.expandInto(out.data(), v);
     return out;
 }
 
 TEST(Expansion, IsGf2LinearAndInjective)
 {
-    ec::DataPlane plane(ec::DataPlaneMode::Verify, kUnit);
-    std::uint64_t s = 0x9e3779b97f4a7c15ull;
-    std::set<std::vector<std::uint8_t>> images;
-    for (int i = 0; i < 64; ++i) {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        const std::uint64_t a = s;
-        const std::uint64_t b = ~s * 0x2545f4914f6cdd1dull;
+    for (std::size_t unit : kUnitSizes) {
+        SCOPED_TRACE(unit);
+        ec::DataPlane plane(ec::DataPlaneMode::Verify, unit);
+        std::uint64_t s = 0x9e3779b97f4a7c15ull;
+        std::set<std::vector<std::uint8_t>> images;
+        for (int i = 0; i < 64; ++i) {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            const std::uint64_t a = s;
+            const std::uint64_t b = ~s * 0x2545f4914f6cdd1dull;
 
-        // Word 0 is the value itself: the map is trivially injective.
-        const auto ea = expand(plane, a);
-        std::uint64_t word0 = 0;
-        std::memcpy(&word0, ea.data(), 8);
-        EXPECT_EQ(word0, a);
-        EXPECT_TRUE(images.insert(ea).second);
+            // Word 0 is the value itself: the map is trivially injective.
+            const auto ea = expand(plane, a);
+            std::uint64_t word0 = 0;
+            std::memcpy(&word0, ea.data(), 8);
+            EXPECT_EQ(word0, a);
+            EXPECT_TRUE(images.insert(ea).second);
 
-        // GF(2) linearity: expand(a) ^ expand(b) == expand(a ^ b).
-        auto sum = ea;
-        const auto eb = expand(plane, b);
-        for (std::size_t k = 0; k < sum.size(); ++k)
-            sum[k] ^= eb[k];
-        EXPECT_EQ(sum, expand(plane, a ^ b));
+            // GF(2) linearity: expand(a) ^ expand(b) == expand(a ^ b).
+            auto sum = ea;
+            const auto eb = expand(plane, b);
+            for (std::size_t k = 0; k < sum.size(); ++k)
+                sum[k] ^= eb[k];
+            EXPECT_EQ(sum, expand(plane, a ^ b));
+        }
+        // expand(0) is all-zero, the XOR identity.
+        EXPECT_EQ(expand(plane, 0),
+                  std::vector<std::uint8_t>(plane.unitBytes(), 0));
     }
-    // expand(0) is all-zero, the XOR identity.
-    EXPECT_EQ(expand(plane, 0),
-              std::vector<std::uint8_t>(plane.unitBytes(), 0));
 }
 
 TEST(DataPlane, CheckCombineAcceptsTrueParityAndCounts)
 {
-    ec::DataPlane plane(ec::DataPlaneMode::Verify, kUnit);
-    const std::uint64_t vals[] = {0x1111, 0xf0f0f0f0f0f0f0f0ull,
-                                  0xdeadbeef12345678ull};
-    plane.checkCombine("test", vals, 3,
-                       vals[0] ^ vals[1] ^ vals[2]);
-    // The empty combine checks the XOR identity (expected == 0).
-    plane.checkCombine("test-empty", nullptr, 0, 0);
+    for (std::size_t unit : kUnitSizes) {
+        SCOPED_TRACE(unit);
+        ec::DataPlane plane(ec::DataPlaneMode::Verify, unit);
+        const std::uint64_t vals[] = {0x1111, 0xf0f0f0f0f0f0f0f0ull,
+                                      0xdeadbeef12345678ull};
+        plane.checkCombine("test", vals, 3,
+                           vals[0] ^ vals[1] ^ vals[2]);
+        // The empty combine checks the XOR identity (expected == 0).
+        plane.checkCombine("test-empty", nullptr, 0, 0);
 
-    const ec::DataPlane::Stats &st = plane.stats();
-    EXPECT_EQ(st.combinesChecked, 2u);
-    EXPECT_EQ(st.unitsXored, 2u); // 3-way combine streams 2 sources
-    EXPECT_EQ(st.bytesXored, 2u * kUnit);
+        const ec::DataPlane::Stats &st = plane.stats();
+        EXPECT_EQ(st.combinesChecked, 2u);
+        EXPECT_EQ(st.unitsXored, 2u); // 3-way combine streams 2 sources
+        EXPECT_EQ(st.bytesXored, 2u * unit);
+    }
 }
 
 TEST(DataPlane, CheckCombinePanicsOnParityMismatch)
 {
-    ec::DataPlane plane(ec::DataPlaneMode::Verify, kUnit);
-    const std::uint64_t vals[] = {0x1111, 0x2222};
-    EXPECT_THROW(plane.checkCombine("bad", vals, 2, 0x3334),
-                 InternalError);
-    EXPECT_THROW(plane.checkCombine("bad-empty", nullptr, 0, 1),
-                 InternalError);
-    // A single-value combine must equal that value.
-    plane.checkCombine("identity", vals, 1, 0x1111);
-    EXPECT_THROW(plane.checkCombine("identity-bad", vals, 1, 0x1110),
-                 InternalError);
+    for (std::size_t unit : kUnitSizes) {
+        SCOPED_TRACE(unit);
+        ec::DataPlane plane(ec::DataPlaneMode::Verify, unit);
+        const std::uint64_t vals[] = {0x1111, 0x2222};
+        EXPECT_THROW(plane.checkCombine("bad", vals, 2, 0x3334),
+                     InternalError);
+        EXPECT_THROW(plane.checkCombine("bad-empty", nullptr, 0, 1),
+                     InternalError);
+        // A single-value combine must equal that value.
+        plane.checkCombine("identity", vals, 1, 0x1111);
+        EXPECT_THROW(plane.checkCombine("identity-bad", vals, 1, 0x1110),
+                     InternalError);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -3,10 +3,12 @@
  * Tests for the erasure-code kernel layer: GF(256) table algebra
  * against a bitwise oracle, randomized scalar-vs-SIMD equivalence at
  * every tier the host supports (odd lengths, misaligned buffers, guard
- * bytes), dispatch-tier resolution, and name parsing.
+ * bytes), every tier's byte-image expansion against its defining
+ * formula, dispatch-tier resolution, and name parsing.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -217,6 +219,56 @@ TEST_P(KernelEquivalence, RandomLengthsAndMisalignments)
     }
 }
 
+/**
+ * expand at the data plane's unit sizes and around the 512-byte period
+ * (whole periods, a period plus or minus one word, sub-period units, and
+ * two lengths with a partial last word), at dst offsets 0, 7, ..., 63
+ * across a cache line, must write exactly the byte image the formula
+ * word[i] = rotl64(v, (i*29) & 63) defines — computed here, not through
+ * any kernel — and nothing outside [dst, dst+n).
+ */
+TEST_P(KernelEquivalence, ExpandMatchesTheDefiningFormula)
+{
+    const Tier tier = GetParam();
+    if (!tierSupported(tier))
+        GTEST_SKIP() << "host cannot execute " << tierName(tier);
+    const Kernels &k = kernelsFor(tier);
+
+    constexpr std::size_t kSizes[] = {8,    64,   504,  512,   520,
+                                      4096, 4104, 65536, 3,    4099};
+    constexpr std::size_t kMaxLen = 65536;
+    constexpr std::size_t kMaxOffset = 63;
+    constexpr std::size_t kGuard = 64;
+    std::vector<std::uint8_t> dstBuf(kMaxLen + kMaxOffset + 2 * kGuard);
+    std::vector<std::uint8_t> want(kMaxLen + 8), shadow;
+
+    Rng rng(0xe4a9du + static_cast<std::uint64_t>(tier));
+    for (std::size_t n : kSizes) {
+        for (std::size_t off = 0; off <= kMaxOffset; off += 7) {
+            const std::uint64_t v = rng.next();
+            for (std::size_t i = 0; i * 8 < n; ++i) {
+                const std::uint64_t w =
+                    std::rotl(v, static_cast<int>((i * 29) & 63));
+                std::memcpy(want.data() + i * 8, &w, 8);
+            }
+            for (auto &b : dstBuf)
+                b = rng.nextByte();
+            shadow = dstBuf;
+            std::uint8_t *dst = dstBuf.data() + kGuard + off;
+
+            k.expand(dst, v, n);
+
+            ASSERT_EQ(std::memcmp(dst, want.data(), n), 0)
+                << tierName(tier) << " expand diverged: n=" << n
+                << " off=" << off << " v=" << v;
+            std::memcpy(shadow.data() + kGuard + off, want.data(), n);
+            ASSERT_EQ(dstBuf, shadow)
+                << tierName(tier) << " expand wrote out of range: n=" << n
+                << " off=" << off;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllTiers, KernelEquivalence,
     ::testing::Values(Tier::Scalar, Tier::Sse2, Tier::Avx2, Tier::Avx512),
@@ -241,6 +293,7 @@ TEST(Dispatch, TierLadderIsMonotonic)
     EXPECT_NE(kernels().xorInto, nullptr);
     EXPECT_NE(kernels().gfMul, nullptr);
     EXPECT_NE(kernels().gfMulAdd, nullptr);
+    EXPECT_NE(kernels().expand, nullptr);
 }
 
 TEST(Dispatch, TierNamesRoundTrip)
