@@ -263,7 +263,7 @@ run(int argc, char **argv)
             .set("p_meas", pMeas)
             .set("p_model", pModel)
             .set("agrees", agree ? 1 : 0);
-        campaign.set("g" + std::to_string(G), std::move(entry));
+        campaign.set(std::string("g") + std::to_string(G), std::move(entry));
     }
 
     std::cout << "Monte Carlo MTTDL campaign: " << windows

@@ -31,10 +31,14 @@ cellFor(const Layout &lay, int disk, int offset)
     const auto su = lay.invert(disk, offset);
     if (!su)
         return "--";
-    if (su->pos == lay.stripeWidth() - 1)
-        return "P" + std::to_string(su->stripe);
-    return "D" + std::to_string(su->stripe) + "." +
-           std::to_string(su->pos);
+    const bool parity = su->pos == lay.stripeWidth() - 1;
+    std::string cell(parity ? "P" : "D");
+    cell += std::to_string(su->stripe);
+    if (!parity) {
+        cell += '.';
+        cell += std::to_string(su->pos);
+    }
+    return cell;
 }
 
 } // namespace

@@ -470,7 +470,7 @@ class ArrayController
 #if DECLUST_VALIDATE
         /** Pool generation at allocation, checked before the deferred
          * submit runs (catches a carrier freed or reused in flight). */
-        std::uint32_t gen;
+        std::uint32_t gen = 0;
 #endif
     };
 

@@ -305,10 +305,9 @@ Disk::rotationalWait(int slot, Tick t) const
     // slotStart < rev and rev - phase <= rev, so one subtraction wraps.
     const Tick wait = slotStart + revTicks_ - phase;
     const Tick result = wait >= revTicks_ ? wait - revTicks_ : wait;
-    DECLUST_VALIDATE_CHECK(result >= 0 && result < revTicks_, "disk ",
-                           id_, ": rotational wait ", result,
-                           " outside [0, ", revTicks_,
-                           ") for sector slot ", slot);
+    DECLUST_VALIDATE_CHECK(result < revTicks_, "disk ", id_,
+                           ": rotational wait ", result, " outside [0, ",
+                           revTicks_, ") for sector slot ", slot);
     return result;
 }
 

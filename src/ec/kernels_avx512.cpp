@@ -53,7 +53,9 @@ inline __m512i
 broadcastTable512(const std::uint8_t *tbl16)
 {
     __m128i t = _mm_loadu_si128((const __m128i *)tbl16);
-    return _mm512_broadcast_i32x4(t);
+    // All-lanes maskz form, as for VPROLVQ in expandAvx512: gcc 12's
+    // unmasked _mm512_broadcast_i32x4 trips -Wuninitialized in its header.
+    return _mm512_maskz_broadcast_i32x4(0xffff, t);
 }
 
 } // namespace

@@ -15,14 +15,16 @@
 #include <sstream>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 namespace declust {
 
 /**
- * Ordered JSON object: string, integer, double, or nested-object
- * fields.
+ * Ordered JSON object: string, integer, double, number-array or
+ * nested-object fields.
+ *
+ * Scalars and arrays are rendered to their JSON text when set; only a
+ * nested object waits for write(), which knows its indentation.
  */
 class JsonObject
 {
@@ -30,8 +32,7 @@ class JsonObject
     JsonObject &
     set(std::string key, std::string value)
     {
-        fields_.emplace_back(std::move(key), Value{std::move(value)});
-        return *this;
+        return add(std::move(key), '"' + escaped(value) + '"');
     }
 
     JsonObject &
@@ -43,8 +44,7 @@ class JsonObject
     JsonObject &
     set(std::string key, std::int64_t value)
     {
-        fields_.emplace_back(std::move(key), Value{value});
-        return *this;
+        return add(std::move(key), std::to_string(value));
     }
 
     JsonObject &
@@ -62,26 +62,30 @@ class JsonObject
     JsonObject &
     set(std::string key, double value)
     {
-        fields_.emplace_back(std::move(key), Value{value});
-        return *this;
+        return add(std::move(key), number(value));
     }
 
     /** Nest another object under @p key. */
     JsonObject &
     set(std::string key, JsonObject value)
     {
-        fields_.emplace_back(
-            std::move(key),
-            Value{std::make_shared<JsonObject>(std::move(value))});
+        fields_.push_back(
+            {std::move(key), std::string(),
+             std::make_shared<const JsonObject>(std::move(value))});
         return *this;
     }
 
     /** Flat array of numbers under @p key (e.g. per-shard walls). */
     JsonObject &
-    set(std::string key, std::vector<double> values)
+    set(std::string key, const std::vector<double> &values)
     {
-        fields_.emplace_back(std::move(key), Value{std::move(values)});
-        return *this;
+        std::string text = "[";
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            if (i)
+                text += ", ";
+            text += number(values[i]);
+        }
+        return add(std::move(key), std::move(text) + ']');
     }
 
     /** Serialize as a single pretty-printed object. */
@@ -101,9 +105,19 @@ class JsonObject
     }
 
   private:
-    using Value = std::variant<std::string, std::int64_t, double,
-                               std::shared_ptr<JsonObject>,
-                               std::vector<double>>;
+    struct Field
+    {
+        std::string key;
+        std::string text; // rendered JSON value; empty when nested
+        std::shared_ptr<const JsonObject> nested;
+    };
+
+    JsonObject &
+    add(std::string key, std::string text)
+    {
+        fields_.push_back({std::move(key), std::move(text), nullptr});
+        return *this;
+    }
 
     void
     writeIndented(std::ostream &os, int depth) const
@@ -111,8 +125,12 @@ class JsonObject
         const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
         os << "{\n";
         for (std::size_t i = 0; i < fields_.size(); ++i) {
-            os << pad << "  \"" << escaped(fields_[i].first) << "\": ";
-            writeValue(os, fields_[i].second, depth + 1);
+            const Field &f = fields_[i];
+            os << pad << "  \"" << escaped(f.key) << "\": ";
+            if (f.nested)
+                f.nested->writeIndented(os, depth + 1);
+            else
+                os << f.text;
             if (i + 1 < fields_.size())
                 os << ',';
             os << '\n';
@@ -137,40 +155,17 @@ class JsonObject
         return out;
     }
 
-    static void
-    writeValue(std::ostream &os, const Value &v, int depth)
-    {
-        if (const auto *s = std::get_if<std::string>(&v)) {
-            os << '"' << escaped(*s) << '"';
-        } else if (const auto *i = std::get_if<std::int64_t>(&v)) {
-            os << *i;
-        } else if (const auto *obj =
-                       std::get_if<std::shared_ptr<JsonObject>>(&v)) {
-            (*obj)->writeIndented(os, depth);
-        } else if (const auto *arr =
-                       std::get_if<std::vector<double>>(&v)) {
-            os << '[';
-            for (std::size_t i = 0; i < arr->size(); ++i) {
-                if (i)
-                    os << ", ";
-                writeNumber(os, (*arr)[i]);
-            }
-            os << ']';
-        } else {
-            writeNumber(os, std::get<double>(v));
-        }
-    }
-
-    static void
-    writeNumber(std::ostream &os, double value)
+    /** Enough digits to round-trip a double. */
+    static std::string
+    number(double value)
     {
         std::ostringstream num;
         num.precision(17);
         num << value;
-        os << num.str();
+        return num.str();
     }
 
-    std::vector<std::pair<std::string, Value>> fields_;
+    std::vector<Field> fields_;
 };
 
 } // namespace declust

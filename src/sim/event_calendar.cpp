@@ -48,7 +48,7 @@ CalendarEventQueue::growPool()
     // runs O(1) times per run and steady state never allocates.
     DECLUST_ANALYZE_SUPPRESS(
         "hot-path-alloc,hot-path-growth: slab warm-up");
-    slabs_.push_back(std::unique_ptr<Node[]>(new Node[kNodesPerSlab]));
+    slabs_.push_back(std::make_unique_for_overwrite<Node[]>(kNodesPerSlab));
     Node *base = slabs_.back().get();
     // Thread the slab onto the free list back-to-front so nodes are
     // handed out in address order.

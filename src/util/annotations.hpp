@@ -14,10 +14,8 @@
  *     calls plus named continuation handoffs (`&stepFn`, function
  *     pointers stored into resume slots) — and rejects heap
  *     allocation, container growth, and std::function conversions
- *     anywhere in that closure. Under clang the macro also expands to
- *     a real [[clang::annotate]] attribute so libclang-based tooling
- *     sees the same roots; under other compilers it expands to
- *     nothing and only the analyzer's own parser reads it.
+ *     anywhere in that closure. The macro expands to nothing: only
+ *     the analyzer's parser reads it.
  *
  *   DECLUST_ANALYZE_SUPPRESS("rule-a,rule-b: reason")
  *     Statement-position suppression, the repo's only suppression
@@ -35,11 +33,8 @@
  */
 #pragma once
 
-#if defined(__clang__)
-#define DECLUST_HOT_PATH [[clang::annotate("declust::hot_path")]]
-#else
+/** Expands to nothing; parsed by tools/analyze/ as a hot-path root. */
 #define DECLUST_HOT_PATH
-#endif
 
 /** Expands to nothing; parsed by tools/analyze/ for rule suppression. */
 #define DECLUST_ANALYZE_SUPPRESS(rules_and_reason) static_assert(true, "")

@@ -5,7 +5,7 @@ Covers the contract the fixtures encode: every fixture fires exactly
 the checks it declares (and nothing else), suppression annotations
 swallow findings without hiding that the check ran, a clean file
 produces zero findings, the suppression/annotation plumbing in the
-builtin parser behaves line-accurately, and the token rules keep their
+parser behaves line-accurately, and the token rules keep their
 file scopes.
 """
 
@@ -17,14 +17,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 from analyze import analyze, checks  # noqa: E402
-from analyze import parser as builtin_parser  # noqa: E402
+from analyze import parser  # noqa: E402
 
 FIXDIR = os.path.join("tools", "analyze", "fixtures")
 
 
 def _scan_fixtures():
-    pairs, kept, suppressed, _used = analyze.run(ROOT, FIXDIR,
-                                                 "builtin", None)
+    pairs, kept, suppressed = analyze.run(ROOT, FIXDIR)
     expected = {}
     for full, rel in pairs:
         expected.setdefault(rel, set())
@@ -70,7 +69,7 @@ class FixtureContract(unittest.TestCase):
 
 class SuppressionPlumbing(unittest.TestCase):
     def test_covers_macro_call_and_whole_next_statement(self):
-        fir = builtin_parser.parse_file("src/x.cpp", (
+        fir = parser.parse_file("src/x.cpp", (
             'void f()\n'                             # 1
             '{\n'                                    # 2
             '    DECLUST_ANALYZE_SUPPRESS(\n'        # 3
@@ -89,7 +88,7 @@ class SuppressionPlumbing(unittest.TestCase):
                          "suppression leaked past the next statement")
 
     def test_wildcard_all_swallows_any_rule(self):
-        fir = builtin_parser.parse_file("src/y.cpp", (
+        fir = parser.parse_file("src/y.cpp", (
             'void g()\n'
             '{\n'
             '    DECLUST_ANALYZE_SUPPRESS("all: bootstrap");\n'
@@ -102,7 +101,7 @@ class SuppressionPlumbing(unittest.TestCase):
         self.assertEqual(suppressed, [finding])
 
     def test_unsuppressed_line_keeps_its_finding(self):
-        fir = builtin_parser.parse_file("src/z.cpp", 'void h() { }\n')
+        fir = parser.parse_file("src/z.cpp", 'void h() { }\n')
         finding = checks.Finding("src/z.cpp", 1, "hot-path-alloc", "m")
         kept, suppressed = analyze.apply_suppressions([finding], [fir])
         self.assertEqual(kept, [finding])
@@ -111,7 +110,7 @@ class SuppressionPlumbing(unittest.TestCase):
 
 def _rules_at(rel, text):
     """{(line, rule)} the checks report for one parsed file."""
-    fir = builtin_parser.parse_file(rel, text)
+    fir = parser.parse_file(rel, text)
     return {(f.line, f.rule) for f in checks.run_checks([fir])}
 
 
@@ -165,7 +164,7 @@ class TokenRuleScopes(unittest.TestCase):
 
 class ParserPlumbing(unittest.TestCase):
     def test_hot_path_annotation_marks_the_function(self):
-        fir = builtin_parser.parse_file("src/h.hpp", (
+        fir = parser.parse_file("src/h.hpp", (
             '#pragma once\n'
             'DECLUST_HOT_PATH\n'
             'void fast();\n'
@@ -175,7 +174,7 @@ class ParserPlumbing(unittest.TestCase):
         self.assertEqual(hot, {"fast": True, "slow": False})
 
     def test_hot_annotation_seeds_closure_across_calls(self):
-        fir = builtin_parser.parse_file("src/c.cpp", (
+        fir = parser.parse_file("src/c.cpp", (
             'void helper(int v) { sink(v); }\n'
             'DECLUST_HOT_PATH\n'
             'void root() { helper(1); }\n'
@@ -186,7 +185,7 @@ class ParserPlumbing(unittest.TestCase):
         self.assertEqual(names, {"root", "helper"})
 
     def test_function_pointer_table_is_a_reference_node(self):
-        fir = builtin_parser.parse_file("src/t.cpp", (
+        fir = parser.parse_file("src/t.cpp", (
             'struct Hooks { void (*on)(int); };\n'
             'void hook(int v) { sink(v); }\n'
             'const Hooks kHooks{&hook};\n'

@@ -7,9 +7,10 @@
  * flows — degraded reads and redirect+piggyback reconstruction with
  * distributed sparing and copyback, latent-error read repair, hedged
  * reads on a fail-slow disk (with and without latent errors and a
- * second failure), a second failure mid-reconstruction, and scrub
- * repair — with non-zero controller-CPU and XOR overheads, so every
- * DeferredIssue hop and afterXor charge lands on the simulated clock.
+ * second failure), a second failure mid-reconstruction, degraded reads
+ * queued behind failing user writes, and scrub repair — with non-zero
+ * controller-CPU and XOR overheads, so every DeferredIssue hop and
+ * afterXor charge lands on the simulated clock.
  * Every disk access (disk, sector, direction, priority, enqueue /
  * dispatch / completion ticks, status) is folded with mixSeed, then
  * the fault, hedge, reconstruction and scrub accounting and the
@@ -27,9 +28,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "core/array_sim.hpp"
 #include "core/scrubber.hpp"
+#include "layout/layout.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/seed.hpp"
 #include "stats/perf_counters.hpp"
@@ -302,6 +305,62 @@ TEST(SpineDigest, HedgedReadsThroughSecondFailure)
         });
         r.reconstruct();
     }, 0x86307e3eb0d5b059ull);
+}
+
+/**
+ * Mid-reconstruction, at every fourth offset of the failed disk that
+ * holds a not-yet-rebuilt data unit, a user write to another data unit
+ * of its stripe is issued and then a degraded read of the unit: the
+ * write takes the stripe lock and the read waits for it. Latent errors fail some of the writes' pre-reads,
+ * which leaves the stripe unrecoverable, so the waiting read fails its
+ * lock-time re-check and completes at the hand-off, before the write
+ * does. Such a read must not abandon the unit for the reconstruction
+ * sweep, which meets the lost stripe on its own.
+ */
+TEST(SpineDigest, DegradedReadWaitsBehindFailingWrite)
+{
+    SimConfig cfg = baseConfig();
+    cfg.latentErrorProb = 5e-3;
+    expectDigest(cfg, [](Scenario &r) {
+        struct Pair
+        {
+            bool writeDone = false;
+            bool readFirst = false;
+        };
+        std::vector<Pair> pairs;
+        r.sim.runFaultFree(0.3, 0.5);
+        r.sim.failAndRunDegraded(0.3, 0.5, 1);
+        ArrayController &ctl = r.sim.controller();
+        r.sim.eventQueue().scheduleIn(secToTicks(0.2), [&ctl, &pairs] {
+            ASSERT_TRUE(ctl.reconstructing());
+            const Layout &lay = ctl.layout();
+            const int G = lay.stripeWidth();
+            for (int off = 0; off < lay.unitsPerDisk(); off += 4) {
+                const auto su = lay.invert(ctl.failedDisk(), off);
+                if (!su || su->pos >= G - 1 || ctl.isReconstructed(off) ||
+                    ctl.stripeUnrecoverable(su->stripe))
+                    continue;
+                const std::size_t i = pairs.size();
+                pairs.emplace_back();
+                const int other = su->pos == 0 ? 1 : 0;
+                ctl.writeUnit(lay.stripeToDataUnit({su->stripe, other}),
+                              [&pairs, i] { pairs[i].writeDone = true; });
+                ctl.readUnit(lay.stripeToDataUnit(*su), [&pairs, i] {
+                    pairs[i].readFirst = !pairs[i].writeDone;
+                });
+            }
+        });
+        r.reconstruct();
+        r.sim.drain(); // the pairs' completions reference `pairs`
+        std::uint64_t handoffLosses = 0;
+        for (const Pair &p : pairs) {
+            EXPECT_TRUE(p.writeDone);
+            handoffLosses += p.readFirst ? 1 : 0;
+        }
+        EXPECT_GT(handoffLosses, 0u);
+        r.digest.u(pairs.size());
+        r.digest.u(handoffLosses);
+    }, 0xd37b30b410108e0cull);
 }
 
 TEST(SpineDigest, ScrubRepair)

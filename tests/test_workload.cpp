@@ -341,8 +341,9 @@ TEST(Zipf, ProbabilitiesNormalizeAndDecay)
     double total = 0.0;
     for (std::int64_t r = 0; r < zipf.population(); ++r) {
         total += zipf.probability(r);
-        if (r > 0)
+        if (r > 0) {
             EXPECT_LE(zipf.probability(r), zipf.probability(r - 1));
+        }
     }
     EXPECT_NEAR(total, 1.0, 1e-12);
 }

@@ -3,11 +3,8 @@
 Layout:
     lexer.py          C++ tokenizer (comments/strings handled, preprocessor
                       logical lines captured as directives)
-    parser.py         builtin backend: file/function/statement IR
-    ir.py             the IR dataclasses shared by both backends
+    parser.py         structural parser: file/function/statement IR
+    ir.py             the IR dataclasses the checks consume
     checks.py         the semantic checks
-    clang_backend.py  optional libclang (clang.cindex) backend, gated on
-                      availability; auto mode falls back to the builtin
-                      parser when the bindings or the library are absent
     analyze.py        command-line driver (also `python3 -m tools.analyze`)
 """

@@ -13,6 +13,7 @@ Rule ids (one firing fixture each under tools/analyze/fixtures/):
   pooled-escape             pooled handle stored into a growing
                             heap-owned container
   hot-path-alloc            operator new / make_unique / make_shared
+                            (and their C++20 _for_overwrite forms)
                             reachable from a DECLUST_HOT_PATH root
   hot-path-growth           container growth calls reachable from a
                             hot root
@@ -377,6 +378,8 @@ def hot_closure(files):
 
 _GROWTH_METHODS = {"push_back", "emplace_back", "resize", "reserve",
                    "assign"}
+_MAKE_SMART = {"make_unique", "make_shared", "make_unique_for_overwrite",
+               "make_shared_for_overwrite"}
 
 
 def check_hot_path(files):
@@ -402,7 +405,7 @@ def check_hot_path(files):
                         "operator new in hot-path function '%s'%s "
                         "— pool it or hoist it to set-up"
                         % (fn.qual, via)))
-                elif t.text in ("make_unique", "make_shared"):
+                elif t.text in _MAKE_SMART:
                     findings.append(Finding(
                         fir.rel, t.line, "hot-path-alloc",
                         "%s in hot-path function '%s'%s"

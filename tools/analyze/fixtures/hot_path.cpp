@@ -45,6 +45,7 @@ submitEntry(Batch &batch, int v)
 {
     auto *node = new int(v);
     auto boxed = std::make_unique<int>(v);
+    auto slab = std::make_unique_for_overwrite<int[]>(8); // EXPECT-ANALYZE: hot-path-alloc
     batch.done = std::function<void()>([] {});
     logEntry(batch, *node + *boxed);
     kHooks.grow(batch);

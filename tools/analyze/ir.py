@@ -1,11 +1,10 @@
-"""Intermediate representation shared by the builtin and libclang
-backends.
+"""Intermediate representation built by parser.py.
 
-The checks in checks.py consume ONLY this IR, so the two backends stay
-interchangeable: whichever produced the FileIR, a check sees the same
-shape.  The IR is deliberately statement-grained — fine enough for
-path-sensitive lifetime analysis, coarse enough that a heuristic C++
-parser can build it reliably.
+The checks in checks.py consume ONLY this IR, never tokens or text
+directly, so every check is written against one stable shape.  The IR
+is deliberately statement-grained — fine enough for path-sensitive
+lifetime analysis, coarse enough that a heuristic C++ parser can build
+it reliably.
 """
 
 from dataclasses import dataclass, field
@@ -69,13 +68,12 @@ class FileIR:
     identifiers: List[Tuple[str, int, str, str]] = \
         field(default_factory=list)
     # Suppressions: line -> set of rule ids (already expanded to cover
-    # the following code line by the backend).
+    # the following code line by the parser).
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     # Lines occupied by DECLUST_ANALYZE_SUPPRESS calls themselves.
     suppress_sites: Set[int] = field(default_factory=set)
     # The file carries a `#pragma once` directive.
     pragma_once: bool = False
-    backend: str = "builtin"
 
 
 def iter_stmts(stmts):

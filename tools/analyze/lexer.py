@@ -1,4 +1,4 @@
-"""C++ tokenizer for the builtin analyzer backend.
+"""C++ tokenizer for the analyzer's parser.
 
 Produces a flat token stream with line numbers plus the preprocessor
 directives as structured records. Comments are dropped, string/char

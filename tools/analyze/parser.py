@@ -1,4 +1,4 @@
-"""Builtin backend: heuristic C++ structural/statement parser.
+"""Heuristic C++ structural/statement parser.
 
 Builds the ir.py FileIR from the lexer's token stream.  This is not a
 conforming C++ parser — it is a structural one: it tracks namespace and
@@ -16,7 +16,8 @@ Known, deliberate approximations (shared with the check design):
   - preprocessor conditionals contribute BOTH branches' tokens (the
     analyzer audits all configurations at once),
   - template bodies are parsed like ordinary functions (no
-    instantiation; the libclang backend sees instantiations).
+    instantiation) and names are never resolved to types: reachability
+    follows names, `&fn` handoffs and brace-initialized `&fn` tables.
 """
 
 from . import lexer
